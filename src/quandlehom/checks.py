@@ -18,8 +18,15 @@ from .cocycle import (
     extension_cocycle,
     kernel_lattice_basis,
 )
-from .homology import boundary_matrices, h2_chain_complex, h2_closed_form, h2_eisermann
-from .intlinalg import IntMatrix, multiplicative_order, smith_normal_form
+from .errors import EmptyRangeError
+from .homology import boundary_matrices, h2_closed_form, h2_eisermann
+from .intlinalg import (
+    IntMatrix,
+    composes_to_zero,
+    homology_invariants,
+    multiplicative_order,
+    smith_normal_form,
+)
 from .quandle import (
     LinearAlexanderParams,
     build_alexander,
@@ -483,7 +490,8 @@ def check_h2_oracles(params):
     quandle = build_alexander(params)
     formula = h2_closed_form(params)
     eisermann = h2_eisermann(params)
-    chain = h2_chain_complex(quandle)
+    pair = boundary_matrices(quandle)
+    chain = homology_invariants(pair.d2, pair.d3)
     result.expect(
         formula == eisermann,
         f"formula {formula} != pullback {eisermann}",
@@ -501,8 +509,7 @@ def check_h2_oracles(params):
             chain == h2_closed_form(params) and chain.rank == 0 and not chain.torsion,
             "connected quandle has nontrivial homology",
         )
-    pair = boundary_matrices(quandle)
-    result.expect((pair.d2 @ pair.d3).is_zero(), "d2 @ d3 != 0")
+    result.expect(composes_to_zero(pair.d2, pair.d3), "d2 @ d3 != 0")
     return result
 
 
@@ -556,8 +563,11 @@ def run_verification(n_max, seed=2024, word_samples=150, rewrite_samples=60):
 
     Results are ordered by (n, t) with the global matrix check last; the
     expensive exhaustive sweeps are capped at the moduli they are specified
-    for (weight/action at n <= 6, cocycle identities at n <= 8).
+    for (weight/action at n <= 6, cocycle identities at n <= 8).  An n_max
+    below 1 names no quandle and raises EmptyRangeError.
     """
+    if n_max < 1:
+        raise EmptyRangeError(f"n-max must be >= 1, got {n_max}")
     results = []
     for params in unit_pairs(n_max):
         rng = random.Random(seed * 1000003 + params.n * 101 + params.t)

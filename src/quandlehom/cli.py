@@ -5,7 +5,8 @@ Every subcommand prints a single JSON report with the fixed key order
 reports can be diffed and re-parsed byte-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed flags,
-3 domain errors (bad modulus/twist, invalid table, unreachable pair, ...).
+3 domain errors (bad modulus/twist, invalid table, unreachable pair,
+``verify --n-max`` below 1, ...).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import json
 
 from .cocycle import degree_zero_cocycle
 from .checks import run_verification
-from .errors import QuandleHomError
+from .errors import QuandleAxiomError, QuandleHomError
 from .homology import h2_linear
 from .quandle import (
     LinearAlexanderParams,
     build_alexander,
-    find_violation,
     orbit_count,
     orbits,
     parse_table,
@@ -36,19 +36,19 @@ def _params(args):
 def _cmd_axioms(args):
     with open(args.table, "r", encoding="utf-8") as handle:
         table = parse_table(handle.read())
-    violation = find_violation(table)
-    if violation is not None:
+    try:
+        quandle = validate_table(table)
+    except QuandleAxiomError as exc:
         report = _report(
             args,
             status="error",
             error={
-                "code": "AxiomViolation",
-                "axiom": violation.axiom,
-                "witness": list(violation.witness),
+                "code": exc.code,
+                "axiom": exc.axiom,
+                "witness": list(exc.witness),
             },
         )
         return report, 3
-    quandle = validate_table(table)
     return _report(args, result={"n": quandle.n, "valid": True}), 0
 
 

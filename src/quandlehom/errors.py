@@ -68,3 +68,9 @@ class NotAComplexError(QuandleHomError):
     """Boundary maps do not compose to zero."""
 
     code = "NotAComplex"
+
+
+class EmptyRangeError(QuandleHomError):
+    """A requested range of moduli holds no quandle (n-max below 1)."""
+
+    code = "EmptyRange"

@@ -91,8 +91,11 @@ def boundary_matrices(quandle):
 def h2_chain_complex(quandle):
     """Second quandle homology straight from the chain complex.
 
-    Exact but cubic-sized in n; intended for n up to a dozen or so, where
-    it serves as the oracle for the two closed routes.
+    Exact; it serves as the oracle for the two closed routes.  d3 has
+    n(n-1)^2 columns but at most 4 nonzeros in each, and
+    ``homology_invariants`` works in those nonzeros, so the homology step
+    grows with the nonzeros of d3; building the dense d3 still touches all
+    of its roughly n^5 entries.
     """
     pair = boundary_matrices(quandle)
     return homology_invariants(pair.d2, pair.d3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     NotAComplexError,
@@ -318,9 +319,70 @@ def smith_normal_form(matrix, transforms=False):
     return SmithForm(result)
 
 
+def _sparse_rows(matrix):
+    """Rows of ``matrix`` as {column: entry} dicts holding the nonzeros only."""
+    columns = range(matrix.cols)
+    return [{j: row[j] for j in compress(columns, row)} for row in matrix.data]
+
+
+def _unit_pivot(rows, cols):
+    """A pivot (i, j) with rows[i][j] == +-1 and few fill-ins, or None.
+
+    Eliminating (i, j) writes at most (len(row i) - 1) * (len(col j) - 1)
+    new entries (the Markowitz count).  The search is restricted to the
+    shortest row that holds a unit, where it takes the unit with the
+    shortest column.
+    """
+    for i in sorted(rows, key=lambda r: len(rows[r])):
+        units = [j for j, e in rows[i].items() if e in (1, -1)]
+        if units:
+            return i, min(units, key=lambda j: len(cols[j]))
+    return None
+
+
 def invariant_factors(matrix):
-    """Nonzero Smith diagonal entries of ``matrix``, in divisibility order."""
-    return [e for e in smith_normal_form(matrix).d.diagonal() if e != 0]
+    """Nonzero Smith diagonal entries of ``matrix``, in divisibility order.
+
+    Unit pivots are eliminated first on sparse rows, in Markowitz order:
+    each contributes an invariant factor 1 and leaves the Schur complement,
+    which has the remaining factors.  Only the core left when no entry is
+    +-1 goes to the dense ``smith_normal_form``.
+    """
+    rows = {i: row for i, row in enumerate(_sparse_rows(matrix)) if row}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    while (pivot := _unit_pivot(rows, cols)) is not None:
+        i, j = pivot
+        units += 1
+        prow = rows.pop(i)
+        p = prow[j]
+        # row_r -= (row_r[j] / p) * prow, and 1/p == p for a unit
+        for r in cols[j] - {i}:
+            row = rows[r]
+            f = row[j] * p
+            for c, e in prow.items():
+                v = row.get(c, 0) - f * e
+                if v:
+                    if c not in row:
+                        cols[c].add(r)
+                    row[c] = v
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if not row:
+                del rows[r]
+        for c in prow:
+            cols[c].discard(i)
+
+    core_cols = sorted(j for j, owners in cols.items() if owners)
+    core = IntMatrix(
+        [[row.get(j, 0) for j in core_cols] for row in rows.values()],
+        shape=(len(rows), len(core_cols)),
+    )
+    return [1] * units + [e for e in smith_normal_form(core).d.diagonal() if e]
 
 
 def quotient_invariants(ambient_rank, relations):
@@ -336,36 +398,50 @@ def quotient_invariants(ambient_rank, relations):
     )
 
 
-def homology_invariants(d_low, d_high):
-    """Invariants of Ker(d_low) / Im(d_high) for a chain-complex pair.
+def composes_to_zero(d_low, d_high):
+    """True iff d_low @ d_high is the zero matrix.
 
-    ``d_low`` maps the middle degree down, ``d_high`` maps into it; the
-    composition d_low @ d_high must vanish.
+    Only products of two nonzero entries are formed, so boundary matrices
+    with a handful of nonzeros per column cost time in their nonzeros, not
+    in their size.
     """
     if d_low.cols != d_high.rows:
         raise ShapeMismatchError(
             f"boundary shapes {d_low.shape} and {d_high.shape} do not chain"
         )
-    if not (d_low @ d_high).is_zero():
+    low_columns = [[] for _ in range(d_low.cols)]
+    for k, row in enumerate(_sparse_rows(d_low)):
+        for i, e in row.items():
+            low_columns[i].append((k, e))
+    product = {}
+    for i, row in enumerate(_sparse_rows(d_high)):
+        terms = low_columns[i]
+        for j, e in row.items():
+            for k, a in terms:
+                product[k, j] = product.get((k, j), 0) + a * e
+    return not any(product.values())
+
+
+def homology_invariants(d_low, d_high):
+    """Invariants of Ker(d_low) / Im(d_high) for a chain-complex pair.
+
+    ``d_low`` maps the middle degree C down, ``d_high`` maps into it; the
+    composition d_low @ d_high must vanish.  C / Ker(d_low) is isomorphic
+    to Im(d_low), which is free, so Ker(d_low) is a direct summand of C
+    and C / Im(d_high) = Ker(d_low) / Im(d_high) + Z^rank(d_low).  Hence
+
+        H = Z^(cols(d_low) - rank(d_low) - rank(d_high)) + torsion,
+
+    where the torsion is the invariant factors >= 2 of d_high.  No basis
+    of the kernel is ever formed.
+    """
+    if not composes_to_zero(d_low, d_high):
         raise NotAComplexError("d_low @ d_high is nonzero")
-    snf = smith_normal_form(d_low, transforms=True)
-    rank = snf.rank
-    kernel_dim = d_low.cols - rank
-    # coordinates of Im(d_high) in the kernel basis: the trailing rows of
-    # v_inv @ d_high (the leading ones vanish because the pair is a complex)
-    vinv = snf.v_inv.data
-    high = d_high.data
-    relations = []
-    for i in range(rank, d_low.cols):
-        vrow = vinv[i]
-        relations.append(
-            [
-                sum(vrow[l] * high[l][j] for l in range(d_high.rows))
-                for j in range(d_high.cols)
-            ]
-        )
-    return quotient_invariants(
-        kernel_dim, IntMatrix(relations, shape=(kernel_dim, d_high.cols))
+    low_rank = len(invariant_factors(d_low))
+    high_factors = invariant_factors(d_high)
+    return AbelianInvariants(
+        d_low.cols - low_rank - len(high_factors),
+        tuple(f for f in high_factors if f >= 2),
     )
 
 

@@ -118,6 +118,14 @@ def test_word_syntax_error(capsys):
     assert report["error"]["code"] == "WordSyntax"
 
 
+def test_verify_refuses_empty_range(capsys):
+    for n_max in ("0", "-1"):
+        code, report = run_cli(capsys, "verify", "--n-max", n_max)
+        assert code == 3
+        assert report["status"] == "error"
+        assert report["error"]["code"] == "EmptyRange"
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["h2", "--n", "5"]) == 2
     assert main(["nonsense"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -118,6 +119,54 @@ def test_snf_random_properties():
 def test_invariant_factors():
     assert invariant_factors(IntMatrix([[2, 4], [6, 8]])) == [2, 4]
     assert invariant_factors(IntMatrix.zeros(3, 3)) == []
+    assert invariant_factors(IntMatrix.zeros(0, 4)) == []
+
+
+def _determinant(rows):
+    # cofactor expansion along the first row
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * e * _determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, e in enumerate(rows[0])
+        if e
+    )
+
+
+def _determinantal_factors(m):
+    # independent oracle: d_k = D_k / D_(k-1), D_k the gcd of all k x k minors
+    factors = []
+    previous = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        divisor = 0
+        for rows in itertools.combinations(m.data, k):
+            for cols in itertools.combinations(range(m.cols), k):
+                minor = [[row[j] for j in cols] for row in rows]
+                divisor = math.gcd(divisor, _determinant(minor))
+        if divisor == 0:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (-1, 0, 0, 1),  # mostly units: the sparse elimination does the work
+        (-1, 0, 1, 2, 3),  # units and non-units: elimination plus a core
+        (-6, -4, -2, 0, 2, 4, 6),  # no units: all of it is the dense core
+        (-9, -3, 0, 3, 6, 12),
+    ],
+)
+def test_invariant_factors_match_determinantal_divisors(entries):
+    rng = random.Random(sum(entries) * 1009 + len(entries))
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = IntMatrix(
+            [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        )
+        assert invariant_factors(m) == _determinantal_factors(m), m
 
 
 def test_abelian_invariants_validation():
@@ -149,6 +198,16 @@ def test_homology_invariants_examples():
     assert homology_invariants(
         IntMatrix.zeros(1, 1), IntMatrix([[2]])
     ) == AbelianInvariants(0, (2,))
+    # Ker = <(1,1,0), (0,0,1)>, Im = <(2,2,0)>: d_high has no unit entry,
+    # so its invariant factor comes from the dense core
+    assert homology_invariants(
+        IntMatrix([[1, -1, 0]]), IntMatrix([[2], [2], [0]])
+    ) == AbelianInvariants(1, (2,))
+    # the unit pivot leaves the core column (4, 2) behind; d_low = 0, so
+    # the free rank is 3 - 0 - 2 = 1 and the factors of d_high are 1, 2
+    assert homology_invariants(
+        IntMatrix.zeros(1, 3), IntMatrix([[1, 1], [0, 4], [0, 2]])
+    ) == AbelianInvariants(1, (2,))
 
 
 def test_homology_invariants_errors():
