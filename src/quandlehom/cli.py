@@ -5,8 +5,10 @@ Every subcommand prints a single JSON report with the fixed key order
 reports can be diffed and re-parsed byte-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed flags,
-3 domain errors (bad modulus/twist, invalid table, unreachable pair,
-``verify --n-max`` below 1, ...).
+3 domain errors (modulus below 1 as ``BadModulus``, non-unit twist,
+invalid table, unreachable pair, ``verify --n-max`` below 1 as
+``EmptyRange``, a negative ``--word-samples`` or ``--rewrite-samples`` as
+``NegativeCount``, ...).
 """
 
 from __future__ import annotations

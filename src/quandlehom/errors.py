@@ -74,3 +74,19 @@ class EmptyRangeError(QuandleHomError):
     """A requested range of moduli holds no quandle (n-max below 1)."""
 
     code = "EmptyRange"
+
+
+class BadModulusError(NotAUnitError):
+    """The modulus is below 1, so Z/n holds no quandle.
+
+    A subclass of NotAUnitError, which callers caught for this case before
+    it had a code of its own.
+    """
+
+    code = "BadModulus"
+
+
+class NegativeCountError(QuandleHomError):
+    """A sample count is negative."""
+
+    code = "NegativeCount"

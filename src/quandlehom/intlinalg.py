@@ -15,6 +15,7 @@ from itertools import compress
 
 from .errors import (
     NotAComplexError,
+    BadModulusError,
     NotAUnitError,
     ShapeMismatchError,
 )
@@ -177,7 +178,7 @@ def xgcd(a, b):
 def multiplicative_order(t, n):
     """Smallest d >= 1 with t**d == 1 (mod n); requires gcd(t, n) == 1."""
     if n < 1:
-        raise NotAUnitError(f"modulus must be >= 1, got {n}")
+        raise BadModulusError(f"modulus must be >= 1, got {n}")
     if math.gcd(t, n) != 1:
         raise NotAUnitError(f"{t} is not a unit modulo {n}")
     one = 1 % n

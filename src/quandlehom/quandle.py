@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    BadModulusError,
     NotAGroupError,
     NotAUnitError,
     QuandleAxiomError,
@@ -40,7 +41,7 @@ class LinearAlexanderParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise NotAUnitError(f"modulus must be >= 1, got {self.n}")
+            raise BadModulusError(f"modulus must be >= 1, got {self.n}")
         object.__setattr__(self, "t", self.t % self.n)
         if math.gcd(self.t, self.n) != 1:
             raise NotAUnitError(f"t={self.t} is not a unit modulo {self.n}")

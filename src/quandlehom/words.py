@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     LengthMismatchError,
@@ -27,37 +26,22 @@ from .intlinalg import multiplicative_order
 from .quandle import LinearAlexanderParams
 
 
-@lru_cache(maxsize=None)
-def _geom(t, k, n):
-    """1 + t + ... + t^(k-1) mod n, extended to all integers k.
+def geometric_sum(t, k, n):
+    """q(k) = 1 + t + ... + t^(k-1) mod n, extended to all integers k.
 
     The extension is fixed by the recurrence q(k+1) = q(k) + t^k, which for
     negative k gives q(-j) = -t^(-j) * q(j).  It is exactly the coefficient
-    in w(e_x^k) = q(k) * x.
+    in w(e_x^k) = q(k) * x.  The closed form q(k) = (t^k - 1)/(t - 1) holds
+    for every integer k and stays exact on t^k reduced modulo n*(t - 1):
+    t is a unit there (it is one modulo n and modulo t - 1), and t^k = 1
+    modulo t - 1.  t = 1 gives q(k) = k.
     """
     if n == 1:
         return 0
-    if k < 0:
-        return -pow(t, k, n) * _geom(t, -k, n) % n
-    if k == 0:
-        return 0
-    if k % 2:
-        return (_geom(t, k - 1, n) + pow(t, k - 1, n)) % n
-    half = _geom(t, k // 2, n)
-    return half * (1 + pow(t, k // 2, n)) % n
-
-
-# (n, t, exp) -> (t^exp mod n, geometric sum q(exp)); hot path of word_eval
-_LETTER_CONSTS: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-
-def _letter_consts(n, t, exp):
-    key = (n, t, exp)
-    cached = _LETTER_CONSTS.get(key)
-    if cached is None:
-        cached = (pow(t, exp, n), _geom(t, exp, n))
-        _LETTER_CONSTS[key] = cached
-    return cached
+    t %= n
+    if t == 1:
+        return k % n
+    return (pow(t, k, n * (t - 1)) - 1) // (t - 1) % n
 
 
 @dataclass(frozen=True)
@@ -221,10 +205,24 @@ def word_eval(word):
     n, t, m = params.n, params.t, params.num_orbits
     v = [0] * m
     a = 0
+    # unit letters fold without pow; other exponents are looked up once
+    # per word: exp -> (t^exp, q(exp))
+    t_inv = consts = None
     for color, exp in word.letters:
-        tp, q = _letter_consts(n, t, exp)
         v[color % m] += exp
-        a = (tp * a + q * color) % n
+        if exp == 1:
+            a = (t * a + color) % n
+        elif exp == -1:
+            if t_inv is None:
+                t_inv = pow(t, -1, n)
+            a = t_inv * (a - color) % n
+        else:
+            if consts is None:
+                consts = {}
+            c = consts.get(exp)
+            if c is None:
+                c = consts[exp] = (pow(t, exp, n), geometric_sum(t, exp, n))
+            a = (c[0] * a + c[1] * color) % n
     return PackedElement(params, tuple(v), a)
 
 
@@ -248,7 +246,7 @@ def base_weight(params, v):
     total = 0
     acc = v[0]
     for r in range(1, m):
-        total = (total + _geom(t, v[r], n) * pow(t, acc, n) * r) % n
+        total = (total + geometric_sum(t, v[r], n) * pow(t, acc, n) * r) % n
         acc += v[r]
     return total
 
@@ -327,11 +325,22 @@ class RewriteStep:
     note: str = ""
 
 
-def _translate(params, x, b, f):
-    # x acted on by e_b^f: t^f x + (1 - t^f) b
-    n = params.n
-    tf = pow(params.t, f, n)
-    return (tf * x + (1 - tf) * b) % n
+def merge_letters(letters):
+    """Merge adjacent letters of one color, dropping those that cancel.
+
+    This is free reduction: e_x^a e_x^b = e_x^(a+b), and e_x^0 is empty.
+    """
+    merged = []
+    for c, e in letters:
+        if merged and merged[-1][0] == c:
+            total = merged[-1][1] + e
+            if total:
+                merged[-1] = (c, total)
+            else:
+                merged.pop()
+        elif e:
+            merged.append((c, e))
+    return tuple(merged)
 
 
 def _token(color, exp=1):
@@ -341,13 +350,29 @@ def _token(color, exp=1):
 def rewrite_trace(word):
     """Rewrite a word into its canonical form, logging every move.
 
-    The strategy mirrors the normal-form construction: (1) sort letters
-    into descending-orbit blocks by braidings, (2) clear negative exponents
-    by inserting central powers e_r^(-d*xi) on the left, (3) sweep the
-    two-letter shift relation e_x e_y = e_{x-(1-t)g} e_{y+(1-t)tg} left to
-    right until every non-final letter is its orbit representative, then
-    (4) cancel the central insertions into the blocks.  Every intermediate
-    word evaluates to the same PackedElement as the input.
+    The strategy mirrors the normal-form construction:
+
+    1. Sort the letters into descending-orbit blocks, orbit m-1 leftmost,
+       inserting them from the right into the sorted suffix.  A letter
+       crosses the whole block B of higher-orbit letters in one ``braid``
+       step, the conjugation law e_x^e B = B e_{x.B}^e with
+       x.B = t^deg(B) x + (1-t) w(B).
+    2. Clear negative exponents with ``central-power`` steps: since e_c^d
+       is central and equals e_r^d for r = c mod m (d the order of t),
+       e_c^e becomes e_c^(e + xi*d) while e_r^(-xi*d) is inserted on the
+       left.  If no orbit-0 letter is left, the central pair
+       e_0^-d ... e_0^d is inserted around the word.
+    3. Shift every run to its orbit representative with one ``relation``
+       step per run: e_{x+s} e_x^(k-1) e_y = e_r^k e_{y'}, where r = x mod m,
+       s is the shift carried in from the left, and
+       y' = y + t^k s + t q(k) (x - r).  For k = 1 and s = 0 this is the
+       two-letter shift e_x e_y = e_r e_{y + t (x - r)}.  The trailing
+       unit of the last run is the final letter and is not shifted.
+    4. Cancel the central insertions into the blocks (``central-power``).
+
+    Every intermediate word evaluates to the same PackedElement as the
+    input, and the number of steps grows with the number of letters and
+    runs, not with their exponents.
 
     Returns (canonical word, tuple of RewriteStep).
     """
@@ -360,41 +385,53 @@ def rewrite_trace(word):
     d = central_power_degree(params)
 
     steps = []
-    body = [[c, e] for c, e in word.letters]
     prefix = {}  # orbit representative -> accumulated central exponent (< 0)
 
-    def snapshot(rule, note):
-        # central prefix letters stay distinct from the body so that the
-        # insertion and cancellation steps are visible in the trace
-        letters = [(r, prefix[r]) for r in sorted(prefix) if prefix[r]]
-        merged = []
-        for c, e in body:
-            if e == 0:
-                continue
-            if merged and merged[-1][0] == c:
-                total = merged[-1][1] + e
-                if total:
-                    merged[-1] = (c, total)
-                else:
-                    merged.pop()
-            else:
-                merged.append((c, e))
-        steps.append(
-            RewriteStep(rule, Word(params, tuple(letters + merged)), note)
-        )
+    def snapshot(rule, body, note):
+        # the central prefix letters lead, in orbit order; a move that only
+        # merges letters of one color leaves no step
+        central = [(r, prefix[r]) for r in sorted(prefix) if prefix[r]]
+        letters = merge_letters(central + body)
+        if letters != (steps[-1].word.letters if steps else merge_letters(word.letters)):
+            steps.append(RewriteStep(rule, Word(params, letters), note))
 
-    # 1. braid into blocks: orbit m-1 leftmost, orbit 0 rightmost
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(len(body) - 1):
-            (x, e), (b, f) = body[i], body[i + 1]
-            if x % m < b % m:
-                body[i], body[i + 1] = [b, f], [_translate(params, x, b, f), e]
-                snapshot("braid", f"{_token(x, e)} moves right past {_token(b, f)}")
-                swapped = True
+    # 1. block braids; blocks[r] holds the orbit-r letters of the sorted
+    #    suffix right to left, with its degree and weight
+    letters = word.letters
+    blocks = [[] for _ in range(m)]
+    block_deg = [0] * m
+    block_weight = [0] * m
+
+    def sorted_suffix():
+        return [letter for r in range(m - 1, -1, -1) for letter in reversed(blocks[r])]
+
+    for i in range(len(letters) - 1, -1, -1):
+        x, e = letters[i]
+        orbit = x % m
+        deg = weight = crossed = 0
+        for r in range(m - 1, orbit, -1):
+            if blocks[r]:
+                weight = (pow(t, block_deg[r], n) * weight + block_weight[r]) % n
+                deg += block_deg[r]
+                crossed += len(blocks[r])
+        y = (pow(t, deg, n) * x + (1 - t) * weight) % n
+        block_weight[orbit] = (
+            pow(t, block_deg[orbit], n) * geometric_sum(t, e, n) * y
+            + block_weight[orbit]
+        ) % n
+        block_deg[orbit] += e
+        blocks[orbit].append((y, e))
+        if crossed:
+            snapshot(
+                "braid",
+                list(letters[:i]) + sorted_suffix(),
+                f"{_token(x, e)} moves right past {crossed} "
+                f"letter{'s' if crossed > 1 else ''} of higher orbits "
+                f"and becomes {_token(y, e)}",
+            )
 
     # 2. clear negative exponents with central powers e_r^d
+    body = [list(letter) for letter in merge_letters(sorted_suffix())]
     for pair in body:
         c, e = pair
         if e < 0:
@@ -404,45 +441,47 @@ def rewrite_trace(word):
             pair[1] = e + xi * d
             snapshot(
                 "central-power",
+                body,
                 f"insert {_token(r, -xi * d)} on the left, "
                 f"raise {_token(c, e)} to {_token(c, pair[1])}",
             )
-    body = [pair for pair in body if pair[1]]
+    runs = list(merge_letters(body))
 
     # the final sweep needs an orbit-0 letter at the right end
-    if not any(c % m == 0 for c, _ in body):
+    if not any(c % m == 0 for c, _ in runs):
         prefix[0] = prefix.get(0, 0) - d
-        body.append([0, d])
+        runs.append((0, d))
         snapshot(
             "central-power",
+            runs,
             f"insert the central pair {_token(0, -d)} ... {_token(0, d)}",
         )
 
-    # 3. shift every non-final letter to its orbit representative
-    units = []
-    for c, e in body:
-        units.extend([c, 1] for _ in range(e))
-    body = units
-    for i in range(len(body) - 1):
-        x = body[i][0]
+    # 3. shift every run to its orbit representative; the trailing unit of
+    #    the last run is the final letter and only absorbs the carried shift
+    x, k = runs[-1]
+    runs[-1:] = [(x, k - 1), (x, 1)] if k > 1 else [(x, 1)]
+    done = []
+    carry = 0
+    for i in range(len(runs) - 1):
+        x, k = runs[i]
         r = x % m
-        if x != r:
-            y = body[i + 1][0]
-            body[i][0] = r
-            body[i + 1][0] = (y + t * (x - r)) % n
+        z = (x + carry) % n
+        carry = (pow(t, k, n) * carry + t * geometric_sum(t, k, n) * (x - r)) % n
+        done.append((r, k))
+        if z != r or (k > 1 and x != r):
+            y, f = runs[i + 1]
+            shifted = (y + carry) % n
+            rest = [(y, f - 1)] if f > 1 else []
+            run = [_token(z)] + ([_token(x, k - 1)] if k > 1 else [])
             snapshot(
                 "relation",
-                f"shift {_token(x)} {_token(y)} to {_token(r)} {_token(body[i + 1][0])}",
+                done + [(shifted, 1)] + rest + runs[i + 2 :],
+                f"shift {' '.join(run)} {_token(y)} to {_token(r, k)} {_token(shifted)}",
             )
+    body = [list(letter) for letter in merge_letters(done + [((runs[-1][0] + carry) % n, 1)])]
 
     # 4. cancel the central prefix into the blocks
-    merged = []
-    for c, e in body:
-        if merged and merged[-1][0] == c:
-            merged[-1][1] += e
-        else:
-            merged.append([c, e])
-    body = merged
     for r in sorted(prefix, reverse=True):
         cr = prefix.pop(r)
         if cr == 0:
@@ -462,9 +501,9 @@ def rewrite_trace(word):
             body[slot][1] += cr
             if body[slot][1] == 0:
                 del body[slot]
-        snapshot("central-power", f"cancel {_token(r, cr)} into its block")
+        snapshot("central-power", body, f"cancel {_token(r, cr)} into its block")
 
-    final = Word(params, tuple((c, e) for c, e in body if e))
+    final = Word(params, merge_letters(body))
     if final.letters != target.letters:
         raise AssertionError(
             f"rewriting produced {final} but the canonical word is {target}"

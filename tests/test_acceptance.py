@@ -14,6 +14,7 @@ from quandlehom.checks import (
     check_kernel_generation,
     check_smith_random,
     check_weight_action_exhaustive,
+    trace_violation,
     unit_pairs,
 )
 from quandlehom.intlinalg import AbelianInvariants
@@ -113,8 +114,10 @@ def test_c05_normal_form_faithfulness():
                 and canonical_word(word_eval(cw)).letters == cw.letters
             )
             final, steps = rewrite_trace(word)
-            trace_ok = final.letters == cw.letters and all(
-                word_eval(step.word) == packed for step in steps
+            trace_ok = (
+                final.letters == cw.letters
+                and all(word_eval(step.word) == packed for step in steps)
+                and trace_violation(word, final, steps) is None
             )
             if not (split_ok and round_ok and trace_ok):
                 ok = False
@@ -125,7 +128,7 @@ def test_c05_normal_form_faithfulness():
     _criterion(
         5,
         "30000 random words: multiplicative evaluation, canonical round "
-        "trips, value-preserving rewrite traces",
+        "trips, value-preserving rewrite traces with one rule use per step",
         ok,
         detail,
     )

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
+from quandlehom import checks
 from quandlehom.cli import main
+from quandlehom.intlinalg import IntMatrix
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
 
 
@@ -108,6 +111,56 @@ def test_not_a_unit(capsys):
     code, report = run_cli(capsys, "h2", "--n", "9", "--t", "3")
     assert code == 3
     assert report["error"]["code"] == "NotAUnit"
+
+
+def test_bad_modulus(capsys):
+    for n in ("0", "-3"):
+        for command in ("h2", "orbits", "normal-form"):
+            argv = [command, "--n", n, "--t", "1"]
+            if command == "normal-form":
+                argv += ["--word", "e0"]
+            code, report = run_cli(capsys, *argv)
+            assert code == 3
+            assert report["error"]["code"] == "BadModulus"
+
+
+def test_verify_refuses_negative_samples(capsys):
+    for flag in ("--word-samples", "--rewrite-samples"):
+        code, report = run_cli(capsys, "verify", "--n-max", "2", flag, "-3")
+        assert code == 3
+        assert report["status"] == "error"
+        assert report["error"]["code"] == "NegativeCount"
+    code, report = run_cli(
+        capsys, "verify", "--n-max", "2", "--word-samples", "0", "--rewrite-samples", "0"
+    )
+    assert code == 0
+
+
+def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
+    real = checks.boundary_matrices
+
+    def broken(quandle):
+        # bump one d3 entry in a row that d2 does not kill, so d2 @ d3 != 0
+        pair = real(quandle)
+        d3 = IntMatrix(pair.d3.data)
+        for i in range(d3.rows):
+            if d3.cols and any(row[i] for row in pair.d2.data):
+                d3.data[i][0] += 1
+                break
+        return dataclasses.replace(pair, d3=d3)
+
+    monkeypatch.setattr(checks, "boundary_matrices", broken)
+    code, report = run_cli(
+        capsys, "verify", "--n-max", "3", "--word-samples", "5", "--rewrite-samples", "5"
+    )
+    assert code == 1
+    failed = [case for case in report["result"]["cases"] if not case["passed"]]
+    assert [(case["name"], case["context"]) for case in failed] == [
+        ("h2-oracles", {"n": 3, "t": 2})
+    ]
+    assert failed[0]["checks"] == 5
+    assert "d2 @ d3 != 0" in failed[0]["failures"]
+    assert report["result"]["summary"]["failed_families"] == 1
 
 
 def test_word_syntax_error(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quandlehom.checks import rule_violation, trace_violation, unit_pairs
 from quandlehom.errors import (
     LengthMismatchError,
     NotInImageError,
@@ -11,6 +12,7 @@ from quandlehom.errors import (
 from quandlehom.quandle import LinearAlexanderParams, build_alexander
 from quandlehom.words import (
     PackedElement,
+    RewriteStep,
     SemidirectZ,
     Word,
     act,
@@ -19,6 +21,7 @@ from quandlehom.words import (
     central_power_degree,
     degree_weight,
     format_word,
+    geometric_sum,
     generator,
     parse_word,
     rewrite_trace,
@@ -301,9 +304,68 @@ def test_rewrite_trace_preserves_value():
             packed = word_eval(w)
             final, steps = rewrite_trace(w)
             assert final.letters == canonical_word(packed).letters
+            before = w
             for step in steps:
                 assert word_eval(step.word) == packed
                 assert step.rule in ("braid", "central-power", "relation")
+                assert rule_violation(before, step.word, step.rule) is None
+                before = step.word
+            assert trace_violation(w, final, steps) is None
+
+
+def test_forged_traces_break_legality():
+    word = parse_word("e5^-1 e0 e7 e3^-2", P94)
+    final, steps = rewrite_trace(word)
+    assert trace_violation(word, final, steps) is None
+    assert [step.rule for step in steps[:3]] == ["braid", "central-power", "central-power"]
+    # skipping a step: two central insertions in one move
+    assert trace_violation(word, final, steps[:1] + steps[2:]) is not None
+    # the braid of e0 past e7 (another orbit) under a wrong rule name
+    for rule in ("relation", "central-power"):
+        forged = (RewriteStep(rule, steps[0].word, steps[0].note),) + steps[1:]
+        assert trace_violation(word, final, forged) is not None
+    # a braid that lands on a wrong color of the right orbit
+    assert steps[0].word.letters == ((5, -1), (7, 1), (6, 1), (3, -2))
+    wrong = Word(P94, ((5, -1), (7, 1), (3, 1), (3, -2)))
+    assert rule_violation(word, wrong, "braid") is not None
+    # cubes are central for Z/9 with twist 4, so this wrong color even keeps
+    # the value: only the rule form tells it from e0^3 e1 = e1 e6^3
+    before = parse_word("e0^3 e1", P94)
+    right, wrong = parse_word("e1 e6^3", P94), parse_word("e1 e3^3", P94)
+    assert word_eval(wrong) == word_eval(before) == word_eval(right)
+    assert rule_violation(before, right, "braid") is None
+    assert rule_violation(before, wrong, "braid") is not None
+    assert rule_violation(before, before, "braid") is not None
+    assert rule_violation(before, right, "shuffle") is not None
+
+
+def test_rewrite_trace_steps_grow_with_runs():
+    params = LinearAlexanderParams(8, 5)
+    lengths = []
+    for exp in (3000, 6000):
+        word = parse_word(f"e1^{exp} e2", params)
+        final, steps = rewrite_trace(word)
+        assert final.letters == canonical_word(word_eval(word)).letters
+        assert trace_violation(word, final, steps) is None
+        lengths.append(len(steps))
+    assert lengths[0] == lengths[1]
+    rng = random.Random(400)
+    for params in (P94, LinearAlexanderParams(12, 5)):
+        word = Word(
+            params,
+            tuple((rng.randrange(params.n), rng.choice((1, -1))) for _ in range(400)),
+        )
+        final, steps = rewrite_trace(word)
+        assert final.letters == canonical_word(word_eval(word)).letters
+        assert 0 < len(steps) <= 4 * 400
+
+
+def test_geometric_sum_recurrence():
+    for params in unit_pairs(12):
+        n, t = params.n, params.t
+        assert geometric_sum(t, 0, n) == 0
+        for k in range(-40, 41):
+            assert geometric_sum(t, k + 1, n) == (geometric_sum(t, k, n) + pow(t, k, n)) % n
 
 
 def test_word_syntax_roundtrip():
