@@ -5,7 +5,6 @@ Run:  python demos/cocycle_kernel.py
 
 from quandlehom import (
     LinearAlexanderParams,
-    SemidirectZ,
     cocycle_image_basis,
     commutator_form,
     degree_zero_cocycle,
@@ -26,11 +25,10 @@ for a in range(n):
     print("  ", [degree_zero_cocycle(params, a, b).v for b in range(n)])
 print()
 
-# Normalizations: any argument with zero weight kills the value.
-print("phi((2,3),(5,0)) =", extension_cocycle(
-    SemidirectZ(params, 2, 3), SemidirectZ(params, 5, 0)).v)
-print("phi((3,0),(2,1)) =", extension_cocycle(
-    SemidirectZ(params, 3, 0), SemidirectZ(params, 2, 1)).v)
+# Normalizations: any argument with zero weight kills the value.  The
+# arguments are (degree, weight) pairs.
+print("phi((2,3),(5,0)) =", extension_cocycle(params, (2, 3), (5, 0)).v)
+print("phi((3,0),(2,1)) =", extension_cocycle(params, (3, 0), (2, 1)).v)
 print()
 
 # The commutator pairing vanishes identically over Z/n; that collapse is

@@ -12,7 +12,6 @@ from quandlehom import (
     h2_chain_complex,
     h2_closed_form,
     h2_eisermann,
-    orbit_count,
 )
 
 # The chain-complex route diagonalizes boundary matrices of size up to
@@ -29,7 +28,7 @@ for n in range(2, 11):
         chain = h2_chain_complex(build_alexander(params))
         assert formula == pullback == chain
         print(
-            f"{n:>3} {t:>3} {orbit_count(params):>3}   "
+            f"{n:>3} {t:>3} {params.num_orbits:>3}   "
             f"{str(formula):24} {str(pullback):24} {str(chain):24}"
         )
 print()

@@ -12,7 +12,6 @@ from quandlehom import (
     find_violation,
     format_table,
     is_connected,
-    orbit_count,
     orbits,
 )
 
@@ -30,7 +29,7 @@ params = LinearAlexanderParams(4, 3)
 q = build_alexander(params)
 show("twist 3 on Z/4", q)
 assert q == build_takasaki(4)
-print("orbit count from gcd(n, 1-t):", orbit_count(params))
+print("orbit count from gcd(n, 1-t):", params.num_orbits)
 print()
 
 # A prime modulus with t != 1 is always connected: 1 - t is invertible.

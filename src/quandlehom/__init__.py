@@ -6,6 +6,13 @@ structure group embeds into Z^m x| Z/n via per-orbit letter counts plus a
 twisted weight; this package implements that normal form, the associated
 extension cocycle, and the second quandle homology by three independent
 routes that are cross-validated against each other.
+
+The product law of Z^m x| Z/n is written once, in ``PackedElement``; a
+(degree, weight) pair is a plain int tuple, its collapse to Z x| Z/n.
+``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
+quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
+from formulas and do not re-check them.  The three H2 routes are separate
+functions (``h2_closed_form``, ``h2_eisermann``, ``h2_chain_complex``).
 """
 
 from .errors import (
@@ -49,15 +56,12 @@ from .quandle import (
     find_violation,
     format_table,
     is_connected,
-    orbit_count,
     orbits,
     parse_table,
-    validate_table,
 )
 from .words import (
     PackedElement,
     RewriteStep,
-    SemidirectZ,
     Word,
     act,
     base_weight,
@@ -85,7 +89,6 @@ from .homology import (
     h2_chain_complex,
     h2_closed_form,
     h2_eisermann,
-    h2_linear,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +112,6 @@ __all__ = [
     "QuandleAxiomError",
     "QuandleHomError",
     "RewriteStep",
-    "SemidirectZ",
     "ShapeMismatchError",
     "SmithForm",
     "TableFormatError",
@@ -138,7 +140,6 @@ __all__ = [
     "h2_chain_complex",
     "h2_closed_form",
     "h2_eisermann",
-    "h2_linear",
     "hnf_rows",
     "homology_invariants",
     "invariant_factors",
@@ -146,7 +147,6 @@ __all__ = [
     "kernel_basis",
     "kernel_lattice_basis",
     "multiplicative_order",
-    "orbit_count",
     "orbits",
     "parse_table",
     "parse_word",
@@ -155,7 +155,6 @@ __all__ = [
     "section",
     "smith_normal_form",
     "solve_integer",
-    "validate_table",
     "word_eval",
     "xgcd",
 ]

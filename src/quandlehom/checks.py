@@ -33,12 +33,10 @@ from .quandle import (
     build_takasaki,
     find_violation,
     is_connected,
-    orbit_count,
     orbits,
 )
 from .words import (
     PackedElement,
-    SemidirectZ,
     Word,
     act,
     canonical_word,
@@ -100,7 +98,7 @@ def check_quandle_structure(params):
     n, t = params.n, params.t
     quandle = build_alexander(params)
     result.expect(find_violation(quandle.table) is None, "constructor table fails axioms")
-    m = orbit_count(params)
+    m = params.num_orbits
     blocks = orbits(quandle)
     result.expect(len(blocks) == m, f"orbit count {len(blocks)} != gcd {m}")
     expected = [sorted(range(r, n, m)) for r in range(m)]
@@ -136,8 +134,8 @@ def check_word_laws(params, rng, samples=200):
         for a in range(n):
             f = degree_weight(section(params, k, a))
             result.expect(
-                (f.k, f.a) == (k, a),
-                lambda k=k, a=a, f=f: f"degree_weight(section({k},{a})) = {(f.k, f.a)}",
+                f == (k, a),
+                lambda k=k, a=a, f=f: f"degree_weight(section({k},{a})) = {f}",
             )
 
     for _ in range(samples):
@@ -184,16 +182,17 @@ def check_word_laws(params, rng, samples=200):
                     lambda g=g, z=z: f"central word {g} fails to commute with e{z}",
                 )
 
-        # section conjugation in degree 1
-        alpha = SemidirectZ(params, 1, rng.randrange(n))
-        gamma = SemidirectZ(params, rng.randint(-3, 4), rng.randrange(n))
+        # section conjugation in degree 1, against the closed form
+        # (k, a)^(p, c) = (k, t^p a + (1 - t^k) c) in Z x| Z/n
+        alpha = (1, rng.randrange(n))
+        gamma = (rng.randint(-3, 4), rng.randrange(n))
         lhs = word_eval(
-            section(params, gamma.k, gamma.a).inverse()
-            * section(params, alpha.k, alpha.a)
-            * section(params, gamma.k, gamma.a)
+            section(params, *gamma).inverse()
+            * section(params, *alpha)
+            * section(params, *gamma)
         )
-        conj = alpha.conjugate_by(gamma)
-        rhs = word_eval(section(params, conj.k, conj.a))
+        (k, a), (p, c) = alpha, gamma
+        rhs = word_eval(section(params, k, pow(t, p, n) * a + (1 - pow(t, k, n)) * c))
         result.expect(
             lhs == rhs,
             lambda alpha=alpha, gamma=gamma: f"section conjugation fails on {alpha}, {gamma}",
@@ -467,9 +466,7 @@ class _CocycleTable:
         key = (k, a, m, b)
         value = self._cache.get(key)
         if value is None:
-            value = extension_cocycle(
-                SemidirectZ(self.params, k, a), SemidirectZ(self.params, m, b)
-            ).v
+            value = extension_cocycle(self.params, (k, a), (m, b)).v
             self._cache[key] = value
         return value
 
@@ -637,7 +634,7 @@ def check_kernel_generation(params):
 def check_h2_oracles(params):
     """The three homology routes agree; structural sanity of the answer."""
     result = CheckResult("h2-oracles", {"n": params.n, "t": params.t})
-    m = orbit_count(params)
+    m = params.num_orbits
     quandle = build_alexander(params)
     formula = h2_closed_form(params)
     eisermann = h2_eisermann(params)

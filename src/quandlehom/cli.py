@@ -19,14 +19,13 @@ import json
 from .cocycle import degree_zero_cocycle
 from .checks import run_verification
 from .errors import QuandleAxiomError, QuandleHomError
-from .homology import h2_linear
+from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
 from .quandle import (
+    FiniteQuandle,
     LinearAlexanderParams,
     build_alexander,
-    orbit_count,
     orbits,
     parse_table,
-    validate_table,
 )
 from .words import canonical_word, format_word, parse_word, rewrite_trace, word_eval
 
@@ -39,7 +38,7 @@ def _cmd_axioms(args):
     with open(args.table, "r", encoding="utf-8") as handle:
         table = parse_table(handle.read())
     try:
-        quandle = validate_table(table)
+        quandle = FiniteQuandle(table)
     except QuandleAxiomError as exc:
         report = _report(
             args,
@@ -58,14 +57,19 @@ def _cmd_orbits(args):
     params = _params(args)
     blocks = orbits(build_alexander(params))
     return (
-        _report(args, result={"m": orbit_count(params), "orbits": blocks}),
+        _report(args, result={"m": params.num_orbits, "orbits": blocks}),
         0,
     )
 
 
 def _cmd_h2(args):
     params = _params(args)
-    invariants = h2_linear(params, args.method)
+    if args.method == "chain":
+        invariants = h2_chain_complex(build_alexander(params))
+    elif args.method == "eisermann":
+        invariants = h2_eisermann(params)
+    else:
+        invariants = h2_closed_form(params)
     return (
         _report(
             args,

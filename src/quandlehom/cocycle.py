@@ -4,6 +4,8 @@ The section s(k, a) = e_0^(k-1) e_a picks one word per (degree, weight)
 pair.  Its defect phi(alpha, beta) = s(alpha) s(beta) s(alpha beta)^-1
 lands in the central kernel of degree_weight, so it is captured completely
 by its abelianization vector; those vectors generate the whole kernel.
+Arguments are plain (degree, weight) int pairs; their product is taken as
+PackedElements, whose multiplication is the package's one semidirect law.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from .errors import LengthMismatchError
 from .intlinalg import congruence_kernel_basis, hnf_rows
 from .quandle import LinearAlexanderParams
-from .words import SemidirectZ, section, word_eval
+from .words import section, word_eval
 
 
 @dataclass(frozen=True)
@@ -54,30 +56,24 @@ class KernelVector:
         return not any(self.v)
 
 
-def extension_cocycle(alpha, beta):
+def extension_cocycle(params, alpha, beta):
     """phi(alpha, beta) = s(alpha) s(beta) s(alpha*beta)^-1 as a KernelVector.
 
-    The word e_0^(k-1) e_a e_0^(m-1) e_b e_{t^m a + b}^-1 e_0^(1-k-m) always
-    has degree 0 and weight 0; its abelianization is returned.
+    alpha and beta are (degree, weight) pairs.  The word
+    e_0^(k-1) e_a e_0^(m-1) e_b e_{t^m a + b}^-1 e_0^(1-k-m) is evaluated as
+    the product of its three sections' PackedElements, alpha*beta being the
+    degree collapse of the first two.  It always has degree 0 and weight 0;
+    its abelianization is returned.
     """
-    if alpha.params != beta.params:
-        raise ValueError("elements from different quandles")
-    params = alpha.params
-    word = (
-        section(params, alpha.k, alpha.a)
-        * section(params, beta.k, beta.a)
-        * section(params, (alpha * beta).k, (alpha * beta).a).inverse()
-    )
-    packed = word_eval(word)
+    product = word_eval(section(params, *alpha)) * word_eval(section(params, *beta))
+    packed = product * word_eval(section(params, product.degree, product.a)).inverse()
     assert packed.degree == 0 and packed.a == 0, "cocycle word left the kernel"
     return KernelVector(params, packed.v)
 
 
 def degree_zero_cocycle(params, a, b):
     """The cocycle restricted to degree zero: phi((0, a), (0, b))."""
-    return extension_cocycle(
-        SemidirectZ(params, 0, a), SemidirectZ(params, 0, b)
-    )
+    return extension_cocycle(params, (0, a), (0, b))
 
 
 def commutator_form(params, x, y):
@@ -115,9 +111,7 @@ def cocycle_image_basis(params):
     vectors = []
     for a in range(n):
         for b in range(n):
-            value = extension_cocycle(
-                SemidirectZ(params, 1, a), SemidirectZ(params, 1, b)
-            )
+            value = extension_cocycle(params, (1, a), (1, b))
             if not value.is_zero():
                 vectors.append(list(value.v))
     basis = hnf_rows(vectors, params.num_orbits)

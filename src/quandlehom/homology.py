@@ -24,7 +24,6 @@ from .intlinalg import (
     quotient_invariants,
     solve_integer,
 )
-from .quandle import LinearAlexanderParams, build_alexander
 
 
 @dataclass(frozen=True)
@@ -131,14 +130,3 @@ def h2_eisermann(params):
     )
     torsion = tuple(sorted(t for t in factor.torsion for _ in range(m)))
     return AbelianInvariants(factor.rank * m, torsion)
-
-
-def h2_linear(params, method="formula"):
-    """Dispatch helper used by the CLI: formula, eisermann, or chain."""
-    if method == "formula":
-        return h2_closed_form(params)
-    if method == "eisermann":
-        return h2_eisermann(params)
-    if method == "chain":
-        return h2_chain_complex(build_alexander(params))
-    raise ValueError(f"unknown method {method!r}")

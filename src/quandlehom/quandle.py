@@ -4,6 +4,12 @@ A quandle is a set with a binary operation ``a <| b`` that is idempotent,
 has bijective right translations, and is right self-distributive.  Tables
 are 0-indexed and ``table[a][b]`` always means ``a <| b`` (row = left
 operand).
+
+Tables from outside the program (``FiniteQuandle(table)``, ``build_conj``,
+``build_core``) are checked against every axiom.  The linear Alexander and
+dihedral tables are built from formulas that satisfy the axioms, so their
+constructors skip the O(n^3) check; ``checks.check_quandle_structure``
+proves the formula explicitly.
 """
 
 from __future__ import annotations
@@ -53,17 +59,22 @@ class LinearAlexanderParams:
 
 
 class FiniteQuandle:
-    """Validated size-n operation table."""
+    """Size-n operation table that satisfies the quandle axioms.
+
+    The constructor checks shape, range and every axiom, since its table
+    comes from outside (a file, a group).  Tables built here from a formula
+    (``build_alexander``, ``build_takasaki``) skip that check.
+    """
 
     __slots__ = ("n", "table")
 
     def __init__(self, table):
-        table = _as_square_table(table)
+        table = tuple(tuple(row) for row in table)
         violation = find_violation(table)
         if violation is not None:
             raise QuandleAxiomError(violation.axiom, violation.witness)
         self.n = len(table)
-        self.table = tuple(tuple(row) for row in table)
+        self.table = table
 
     def op(self, a, b):
         return self.table[a][b]
@@ -116,23 +127,30 @@ def find_violation(table):
     return None
 
 
-def validate_table(table):
-    """Return the table as a FiniteQuandle, raising QuandleAxiomError if invalid."""
-    return FiniteQuandle(table)
+def _formula_quandle(table):
+    """Wrap a tuple-of-tuples table whose formula satisfies the axioms, unchecked."""
+    quandle = FiniteQuandle.__new__(FiniteQuandle)
+    quandle.n = len(table)
+    quandle.table = table
+    return quandle
 
 
 def build_alexander(params):
     """Quandle on Z/n with a <| b = t*a + (1-t)*b."""
     n, t = params.n, params.t
     s = (1 - t) % n
-    return FiniteQuandle(
-        [[(t * a + s * b) % n for b in range(n)] for a in range(n)]
+    return _formula_quandle(
+        tuple(tuple((t * a + s * b) % n for b in range(n)) for a in range(n))
     )
 
 
 def build_takasaki(n):
-    """Dihedral quandle a <| b = 2b - a on Z/n (twist -1)."""
-    return build_alexander(LinearAlexanderParams(n, (n - 1) % n))
+    """Dihedral quandle a <| b = 2b - a on Z/n, the twist -1 case of Alexander."""
+    if n < 1:
+        raise BadModulusError(f"modulus must be >= 1, got {n}")
+    return _formula_quandle(
+        tuple(tuple((2 * b - a) % n for b in range(n)) for a in range(n))
+    )
 
 
 def _group_ops(table):
@@ -212,11 +230,6 @@ def orbits(quandle):
         blocks.append(sorted(block))
     blocks.sort(key=lambda blk: blk[0])
     return blocks
-
-
-def orbit_count(params):
-    """Number of orbits of the linear Alexander quandle, gcd(n, 1-t)."""
-    return params.num_orbits
 
 
 def is_connected(quandle):

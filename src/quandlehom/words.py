@@ -10,6 +10,8 @@ where the weight w is the twisted sum w(e_x) = x, w(gh) = t^deg(h) w(g) + w(h).
 PackedElement stores that pair; the pair multiplies inside Z^m x| Z/n, and
 ``canonical_word`` / ``rewrite_trace`` convert back to a unique word per
 element, which is what makes the representation usable as a normal form.
+``PackedElement.__mul__`` is the one place the product law is written: the
+(degree, weight) pair of ``degree_weight`` is its collapse to Z x| Z/n.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class Word:
         return Word(
             self.params, tuple((c, -e) for c, e in reversed(self.letters))
         )
-
-    def unit_length(self):
-        return sum(abs(e) for _, e in self.letters)
 
     def __str__(self):
         return format_word(self)
@@ -157,43 +156,6 @@ class PackedElement:
         )
 
 
-@dataclass(frozen=True)
-class SemidirectZ:
-    """Element (k, a) of Z x| Z/n with (k, a)(m, b) = (k + m, t^m a + b)."""
-
-    params: LinearAlexanderParams
-    k: int
-    a: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.params.n)
-
-    @classmethod
-    def identity(cls, params):
-        return cls(params, 0, 0)
-
-    def __mul__(self, other):
-        if self.params != other.params:
-            raise ValueError("elements from different quandles")
-        n, t = self.params.n, self.params.t
-        return SemidirectZ(
-            self.params, self.k + other.k, (pow(t, other.k, n) * self.a + other.a) % n
-        )
-
-    def inverse(self):
-        n, t = self.params.n, self.params.t
-        return SemidirectZ(self.params, -self.k, -pow(t, -self.k, n) * self.a % n)
-
-    def conjugate_by(self, other):
-        """other^-1 * self * other = (k, t^m a + (1 - t^k) b)."""
-        n, t = self.params.n, self.params.t
-        return SemidirectZ(
-            self.params,
-            self.k,
-            (pow(t, other.k, n) * self.a + (1 - pow(t, self.k, n)) * other.a) % n,
-        )
-
-
 def word_eval(word):
     """Fold a word into its PackedElement.
 
@@ -227,9 +189,9 @@ def word_eval(word):
 
 
 def degree_weight(word):
-    """The pair (degree, weight) of a word, as an element of Z x| Z/n."""
+    """The pair (degree, weight) of a word: its PackedElement collapsed to Z x| Z/n."""
     packed = word_eval(word)
-    return SemidirectZ(word.params, packed.degree, packed.a)
+    return packed.degree, packed.a
 
 
 def base_weight(params, v):

@@ -19,7 +19,7 @@ from quandlehom.checks import (
 )
 from quandlehom.intlinalg import AbelianInvariants
 from quandlehom.homology import h2_chain_complex, h2_closed_form, h2_eisermann
-from quandlehom.quandle import LinearAlexanderParams, build_alexander, orbit_count
+from quandlehom.quandle import LinearAlexanderParams, build_alexander
 from quandlehom.words import Word, canonical_word, rewrite_trace, word_eval
 
 
@@ -75,7 +75,7 @@ def test_c04_coprime_orbit_split_is_torsion_free():
     ok = True
     cases = 0
     for params in unit_pairs(6, n_min=6):
-        m = orbit_count(params)
+        m = params.num_orbits
         if m not in (2, 3) or params.n // m % m == 0:
             continue
         cases += 1

@@ -182,6 +182,7 @@ def test_verify_refuses_empty_range(capsys):
 def test_bad_flags_exit_two(capsys):
     assert main(["h2", "--n", "5"]) == 2
     assert main(["nonsense"]) == 2
+    assert main(["h2", "--n", "5", "--t", "2", "--method", "guess"]) == 2
     capsys.readouterr()
 
 

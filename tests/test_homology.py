@@ -1,14 +1,13 @@
+import json
 import math
 
-import pytest
-
+from quandlehom.cli import main
 from quandlehom.intlinalg import AbelianInvariants
 from quandlehom.homology import (
     boundary_matrices,
     h2_chain_complex,
     h2_closed_form,
     h2_eisermann,
-    h2_linear,
 )
 from quandlehom.quandle import (
     LinearAlexanderParams,
@@ -121,9 +120,15 @@ def test_h2_oracle_sweep_small():
                 assert formula == AbelianInvariants(0)
 
 
-def test_h2_linear_dispatch():
-    params = LinearAlexanderParams(9, 4)
-    assert h2_linear(params, "formula") == h2_linear(params, "eisermann")
-    assert h2_linear(params, "chain") == h2_linear(params, "formula")
-    with pytest.raises(ValueError):
-        h2_linear(params, "guess")
+def test_h2_linear_dispatch(capsys):
+    # the CLI picks the route with --method
+    results = {}
+    for method in ("formula", "eisermann", "chain"):
+        assert main(["h2", "--n", "9", "--t", "4", "--method", method]) == 0
+        results[method] = json.loads(capsys.readouterr().out)["result"]
+    assert results["formula"] == results["eisermann"]
+    assert results["chain"] == results["formula"]
+    expected = h2_closed_form(LinearAlexanderParams(9, 4))
+    assert results["formula"] == {"rank": expected.rank, "torsion": list(expected.torsion)}
+    assert main(["h2", "--n", "9", "--t", "4", "--method", "guess"]) == 2
+    capsys.readouterr()

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from quandlehom.cli import main
 from quandlehom.errors import (
+    BadModulusError,
     NotAGroupError,
     NotAUnitError,
     QuandleAxiomError,
@@ -18,10 +20,8 @@ from quandlehom.quandle import (
     find_violation,
     format_table,
     is_connected,
-    orbit_count,
     orbits,
     parse_table,
-    validate_table,
 )
 
 
@@ -62,6 +62,37 @@ def test_build_alexander_entries():
 def test_takasaki_is_twist_minus_one():
     assert build_takasaki(4) == build_alexander(LinearAlexanderParams(4, 3))
     assert build_takasaki(7) == build_alexander(LinearAlexanderParams(7, 6))
+    # two independent formulas: 2b - a and t*a + (1-t)*b at t = -1
+    for n in range(1, 31):
+        assert build_takasaki(n) == build_alexander(LinearAlexanderParams(n, n - 1)), n
+    for n in (0, -3):
+        with pytest.raises(BadModulusError):
+            build_takasaki(n)
+
+
+def test_formula_tables_skip_the_axiom_check(monkeypatch):
+    def refuse(table):
+        raise AssertionError("a formula table was re-checked")
+
+    monkeypatch.setattr("quandlehom.quandle.find_violation", refuse)
+    q = build_alexander(LinearAlexanderParams(60, 7))
+    assert q.n == 60 and q.op(1, 2) == (7 * 1 - 6 * 2) % 60
+    assert build_takasaki(9).op(1, 2) == 3
+
+
+def test_outside_tables_are_still_checked(tmp_path, capsys):
+    with pytest.raises(QuandleAxiomError):
+        FiniteQuandle([[1, 0], [1, 0]])
+    with pytest.raises(TableFormatError, match=r"^row 1 has 1 entries, expected 2$"):
+        FiniteQuandle([[0, 1], [1]])
+    with pytest.raises(TableFormatError, match=r"^entry \(0,1\) = 2 outside 0\.\.1$"):
+        FiniteQuandle([[0, 2], [1, 0]])
+    with pytest.raises(NotAGroupError):
+        build_core([[0, 1, 2], [1, 0, 0], [2, 0, 0]])  # not associative
+    path = tmp_path / "bad.tbl"
+    path.write_text("3\n0 2 0\n2 1 1\n1 0 2\n")
+    assert main(["axioms", "--table", str(path)]) == 3
+    assert '"axiom": "self-distributivity"' in capsys.readouterr().out
 
 
 def test_find_violation_reports():
@@ -85,10 +116,10 @@ def test_find_violation_reports():
 
 
 def test_validate_table():
-    q = validate_table(build_alexander(LinearAlexanderParams(4, 3)).table)
+    q = FiniteQuandle(build_alexander(LinearAlexanderParams(4, 3)).table)
     assert isinstance(q, FiniteQuandle)
     with pytest.raises(QuandleAxiomError) as info:
-        validate_table([[1, 0], [1, 0]])
+        FiniteQuandle([[1, 0], [1, 0]])
     assert info.value.axiom == "idempotence"
     assert info.value.witness == (0,)
 
@@ -125,9 +156,9 @@ def test_orbits_examples():
 
 
 def test_orbit_count_examples():
-    assert orbit_count(LinearAlexanderParams(4, 3)) == 2
-    assert orbit_count(LinearAlexanderParams(9, 4)) == 3
-    assert orbit_count(LinearAlexanderParams(6, 1)) == 6
+    assert LinearAlexanderParams(4, 3).num_orbits == 2
+    assert LinearAlexanderParams(9, 4).num_orbits == 3
+    assert LinearAlexanderParams(6, 1).num_orbits == 6
 
 
 def test_orbit_count_matches_partition():
@@ -138,7 +169,7 @@ def test_orbit_count_matches_partition():
             params = LinearAlexanderParams(n, t)
             quandle = build_alexander(params)
             blocks = orbits(quandle)
-            m = orbit_count(params)
+            m = params.num_orbits
             assert len(blocks) == m
             assert blocks == [sorted(range(r, n, m)) for r in range(m)]
 
