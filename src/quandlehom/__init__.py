@@ -12,7 +12,9 @@ The product law of Z^m x| Z/n is written once, in ``PackedElement``; a
 ``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
-functions (``h2_closed_form``, ``h2_eisermann``, ``h2_chain_complex``).
+functions (``h2_closed_form``, ``h2_eisermann``, ``h2_chain_complex``); the
+pullback and chain routes share only ``homology_invariants``, applied to a
+1 x (m+1) pair and to the boundary pair respectively.
 """
 
 from .errors import (
@@ -40,10 +42,7 @@ from .intlinalg import (
     invariant_factors,
     kernel_basis,
     multiplicative_order,
-    quotient_invariants,
     smith_normal_form,
-    solve_integer,
-    xgcd,
 )
 from .quandle import (
     FiniteQuandle,
@@ -150,11 +149,8 @@ __all__ = [
     "orbits",
     "parse_table",
     "parse_word",
-    "quotient_invariants",
     "rewrite_trace",
     "section",
     "smith_normal_form",
-    "solve_integer",
     "word_eval",
-    "xgcd",
 ]

@@ -4,8 +4,9 @@
   boundary pair of the quandle chain complex (the expensive oracle).
 * ``h2_closed_form``: rank m(m-1) plus m copies of Z/gcd(m, n/m) for the
   linear quandle on Z/n with m orbits.
-* ``h2_eisermann``: the orbit-stabilizer description, evaluated as the
-  pullback of Z^(m-1) and Ker(1-t) over Z/m and raised to the m-th power.
+* ``h2_eisermann``: the orbit-stabilizer description, the pullback of
+  Z^(m-1) and Ker(1-t) over Z/m raised to the m-th power, with one factor
+  computed as the homology of a 1 x (m+1) chain pair.
 
 All three must agree; the verification suite sweeps them against each
 other.
@@ -16,14 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intlinalg import (
-    AbelianInvariants,
-    IntMatrix,
-    congruence_kernel_basis,
-    homology_invariants,
-    quotient_invariants,
-    solve_integer,
-)
+from .intlinalg import AbelianInvariants, IntMatrix, homology_invariants
 
 
 @dataclass(frozen=True)
@@ -110,23 +104,28 @@ def h2_closed_form(params):
 
 
 def h2_eisermann(params):
-    """Homology via the stabilizer pullback, evaluated with integer matrices.
+    """Homology via the stabilizer pullback, evaluated as a chain pair.
 
     One orbit contributes the pullback
         P = {(w, a) : w in Z^(m-1), a in Ker(1-t),
              sum r*w_r == a (mod m)},
     encoded as the lattice of (w, s) with sum r*w_r == (n/m)*s (mod m),
-    taken modulo s == s + m.  The homology is P raised to the m-th power.
+    taken modulo u = (0, ..., 0, m), i.e. s == s + m.
+
+    Lift the congruence with a slack k: F(w, s, k) = sum r*w_r - (n/m)*s
+    - m*k, the 1 x (m+1) row [1, 2, ..., m-1, -n/m, -m].  Dropping k maps
+    Ker F onto P one-to-one, since m != 0 fixes k given (w, s), and it
+    sends u' = (0, ..., 0, m, -n/m) to u, with F u' == 0.  So one factor
+    is Ker F / <u'>, the homology of the pair (F, u'), and the homology is
+    that factor raised to the m-th power.  At m = 1 the pair is [-n, -1]
+    and (1, -n).
     """
     n = params.n
     m = params.num_orbits
-    row = list(range(1, m)) + [-(n // m)]
-    basis = congruence_kernel_basis([row], [m])
-    relation = [0] * (m - 1) + [m]
-    coords = solve_integer(IntMatrix.from_columns(basis, rows=m), relation)
-    assert coords is not None, "the collapse relation must lie in the lattice"
-    factor = quotient_invariants(
-        m, IntMatrix.from_columns([coords], rows=m)
+    row = list(range(1, m)) + [-(n // m), -m]
+    relation = [0] * (m - 1) + [m, -(n // m)]
+    factor = homology_invariants(
+        IntMatrix([row]), IntMatrix([[e] for e in relation])
     )
-    torsion = tuple(sorted(t for t in factor.torsion for _ in range(m)))
+    torsion = tuple(sorted(factor.torsion * m))
     return AbelianInvariants(factor.rank * m, torsion)

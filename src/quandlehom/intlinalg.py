@@ -2,9 +2,9 @@
 
 Everything in this module works over plain Python integers, so all results
 are exact regardless of entry size.  The central tool is the Smith normal
-form, from which we derive kernels, integer solving, canonical bases of
-congruence lattices, and the invariant factors of finitely generated
-abelian groups presented as Ker/Im of a pair of boundary maps.
+form, from which we derive kernels, canonical bases of congruence
+lattices, and the invariant factors of finitely generated abelian groups
+presented as Ker/Im of a pair of boundary maps.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, size):
         return cls([[int(i == j) for j in range(size)] for i in range(size)])
-
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        """Build a matrix whose j-th column is ``columns[j]``."""
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        data = [[col[i] for col in columns] for i in range(rows)]
-        return cls(data, shape=(rows, len(columns)))
 
     @property
     def shape(self):
@@ -158,21 +150,6 @@ class AbelianInvariants:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def multiplicative_order(t, n):
@@ -386,19 +363,6 @@ def invariant_factors(matrix):
     return [1] * units + [e for e in smith_normal_form(core).d.diagonal() if e]
 
 
-def quotient_invariants(ambient_rank, relations):
-    """Invariants of Z^ambient_rank modulo the column span of ``relations``."""
-    if relations.rows != ambient_rank:
-        raise ShapeMismatchError(
-            f"relations have {relations.rows} rows, ambient rank is {ambient_rank}"
-        )
-    factors = invariant_factors(relations)
-    return AbelianInvariants(
-        ambient_rank - len(factors),
-        tuple(f for f in factors if f >= 2),
-    )
-
-
 def composes_to_zero(d_low, d_high):
     """True iff d_low @ d_high is the zero matrix.
 
@@ -450,28 +414,6 @@ def kernel_basis(matrix):
     """Basis of the integer kernel {x : matrix @ x == 0}, as a list of vectors."""
     snf = smith_normal_form(matrix, transforms=True)
     return [snf.v.column(j) for j in range(snf.rank, matrix.cols)]
-
-
-def solve_integer(matrix, rhs):
-    """One integer solution x of matrix @ x == rhs, or None if there is none."""
-    if len(rhs) != matrix.rows:
-        raise ShapeMismatchError(
-            f"rhs has length {len(rhs)}, matrix has {matrix.rows} rows"
-        )
-    snf = smith_normal_form(matrix, transforms=True)
-    c = [sum(urow[i] * rhs[i] for i in range(matrix.rows)) for urow in snf.u.data]
-    diag = snf.d.diagonal()
-    rank = snf.rank
-    y = [0] * matrix.cols
-    for i in range(rank):
-        if c[i] % diag[i]:
-            return None
-        y[i] = c[i] // diag[i]
-    if any(c[i] for i in range(rank, matrix.rows)):
-        return None
-    return [
-        sum(vrow[j] * y[j] for j in range(matrix.cols)) for vrow in snf.v.data
-    ]
 
 
 def hnf_rows(vectors, width=None):

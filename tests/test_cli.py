@@ -1,7 +1,7 @@
 import dataclasses
 import json
 
-from quandlehom import checks
+from quandlehom import homology
 from quandlehom.cli import main
 from quandlehom.intlinalg import IntMatrix
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
@@ -137,7 +137,7 @@ def test_verify_refuses_negative_samples(capsys):
 
 
 def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
-    real = checks.boundary_matrices
+    real = homology.boundary_matrices
 
     def broken(quandle):
         # bump one d3 entry in a row that d2 does not kill, so d2 @ d3 != 0
@@ -149,7 +149,7 @@ def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
                 break
         return dataclasses.replace(pair, d3=d3)
 
-    monkeypatch.setattr(checks, "boundary_matrices", broken)
+    monkeypatch.setattr(homology, "boundary_matrices", broken)
     code, report = run_cli(
         capsys, "verify", "--n-max", "3", "--word-samples", "5", "--rewrite-samples", "5"
     )

@@ -103,6 +103,29 @@ def test_h2_closed_form_values():
     expected = AbelianInvariants(20, (5, 5, 5, 5, 5))
     assert h2_closed_form(params) == expected
     assert h2_eisermann(params) == expected
+    # every unit pair past the n <= 12 the chain oracle is swept over
+    for n in range(13, 151):
+        for t in range(n):
+            if math.gcd(t, n) == 1:
+                params = LinearAlexanderParams(n, t)
+                assert h2_eisermann(params) == h2_closed_form(params), (n, t)
+    # large n with m orbits: n = m*k, t = 1 + m*s, gcd(k, s) = 1
+    for m, (n, t) in zip(
+        (1, 2, 3, 4, 6, 8, 12, 16),
+        (
+            (536925, 536687),
+            (1377272, 215247),
+            (2844819, 1890682),
+            (2646692, 2334381),
+            (3662286, 3446533),
+            (2092712, 5321),
+            (10397232, 1233781),
+            (5431952, 1763505),
+        ),
+    ):
+        params = LinearAlexanderParams(n, t)
+        assert params.num_orbits == m
+        assert h2_eisermann(params) == h2_closed_form(params), (n, t)
 
 
 def test_h2_oracle_sweep_small():
