@@ -36,11 +36,9 @@ from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
     SmithForm,
-    congruence_kernel_basis,
     hnf_rows,
     homology_invariants,
     invariant_factors,
-    kernel_basis,
     multiplicative_order,
     smith_normal_form,
 )
@@ -128,7 +126,6 @@ __all__ = [
     "central_power_degree",
     "cocycle_image_basis",
     "commutator_form",
-    "congruence_kernel_basis",
     "degree_weight",
     "degree_zero_cocycle",
     "extension_cocycle",
@@ -143,7 +140,6 @@ __all__ = [
     "homology_invariants",
     "invariant_factors",
     "is_connected",
-    "kernel_basis",
     "kernel_lattice_basis",
     "multiplicative_order",
     "orbits",

@@ -8,6 +8,7 @@ tests are both thin wrappers around these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -449,22 +450,6 @@ def check_rewriting(params, rng, samples=100, max_len=12):
     return result
 
 
-class _CocycleTable:
-    """Memoized cocycle values as raw tuples, for the exhaustive identity sweeps."""
-
-    def __init__(self, params):
-        self.params = params
-        self._cache = {}
-
-    def __call__(self, k, a, m, b):
-        key = (k, a, m, b)
-        value = self._cache.get(key)
-        if value is None:
-            value = extension_cocycle(self.params, (k, a), (m, b)).v
-            self._cache[key] = value
-        return value
-
-
 def check_cocycle_identities(params, degree_span=2):
     """Exhaustive identity suite for the extension cocycle.
 
@@ -480,7 +465,12 @@ def check_cocycle_identities(params, degree_span=2):
     )
     n, t = params.n, params.t
     params_m = params.num_orbits
-    phi = _CocycleTable(params)
+
+    # raw value tuples, memoized for the sweeps and freed when this returns
+    @functools.cache
+    def phi(k, a, mm, b):
+        return extension_cocycle(params, (k, a), (mm, b)).v
+
     degrees = range(-degree_span, degree_span + 1)
     zero = (0,) * params_m
 

@@ -6,9 +6,11 @@ reports can be diffed and re-parsed byte-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed flags,
 3 domain errors (modulus below 1 as ``BadModulus``, non-unit twist,
-invalid table, unreachable pair, ``verify --n-max`` below 1 as
+invalid table or a table file that is not UTF-8 as ``TableFormat``,
+unreachable pair, ``verify --n-max`` below 1 as
 ``EmptyRange``, a negative ``--word-samples`` or ``--rewrite-samples`` as
-``NegativeCount``, ...).
+``NegativeCount``, ...).  Numbers in words and table files are ASCII
+decimal; ``_`` separators and other digits are refused.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 
 from .cocycle import degree_zero_cocycle
 from .checks import run_verification
-from .errors import QuandleAxiomError, QuandleHomError
+from .errors import QuandleAxiomError, QuandleHomError, TableFormatError
 from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
 from .quandle import (
     FiniteQuandle,
@@ -36,7 +38,11 @@ def _params(args):
 
 def _cmd_axioms(args):
     with open(args.table, "r", encoding="utf-8") as handle:
-        table = parse_table(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"table file is not UTF-8: {exc}") from exc
+    table = parse_table(text)
     try:
         quandle = FiniteQuandle(table)
     except QuandleAxiomError as exc:

@@ -3,7 +3,8 @@
 The section s(k, a) = e_0^(k-1) e_a picks one word per (degree, weight)
 pair.  Its defect phi(alpha, beta) = s(alpha) s(beta) s(alpha beta)^-1
 lands in the central kernel of degree_weight, so it is captured completely
-by its abelianization vector; those vectors generate the whole kernel.
+by its abelianization vector; those vectors generate the whole kernel,
+whose Hermite basis ``kernel_lattice_basis`` writes down in closed form.
 Arguments are plain (degree, weight) int pairs; their product is taken as
 PackedElements, whose multiplication is the package's one semidirect law.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LengthMismatchError
-from .intlinalg import congruence_kernel_basis, hnf_rows
+from .intlinalg import hnf_rows
 from .quandle import LinearAlexanderParams
 from .words import section, word_eval
 
@@ -87,17 +88,33 @@ def commutator_form(params, x, y):
 
 
 def kernel_lattice_basis(params):
-    """Canonical basis of the kernel lattice {v : sum v = 0, sum r*v_r == 0 mod m}.
+    """Hermite basis of the kernel lattice, written down in closed form.
 
-    The lattice has rank m - 1 and is spanned by the cocycle values; the
-    basis is returned in Hermite form so equal lattices give equal lists.
+    The lattice is L = {v in Z^m : sum v = 0, sum r*v_r == 0 mod m}.  For
+    m = 1 it is 0 and the basis is empty; for m >= 2 the rows are, in order,
+
+        e_r + (r+1) e_(m-2) - (r+2) e_(m-1)    for r = 0, ..., m-3,
+        m e_(m-2) - m e_(m-1),
+
+    e.g. [[1, 1, -2], [0, 3, -3]] for m = 3.  Each row has sum 0 and weight
+    -m == 0, so it lies in L (KernelVector checks both).  In the basis
+    f_r = e_r - e_(m-1) of the sum-zero lattice H the rows read
+    f_r + (r+1) f_(m-2) and m f_(m-2): triangular with diagonal
+    (1, ..., 1, m), so they span a sublattice of index m in H.  The weight
+    map H -> Z/m is onto (e_1 - e_0 has weight 1), so L has index m in H
+    too, and the rows span L.  They are already in the form hnf_rows
+    returns: positive pivots, and r+1 in [0, m) above the pivot m, so equal
+    lattices give equal lists.  The lattice has rank m - 1 and is spanned
+    by the cocycle values.
     """
     m = params.num_orbits
     if m == 1:
         return []
-    rows = [[1] * m, list(range(m))]
-    basis = congruence_kernel_basis(rows, [0, m])
-    return [KernelVector(params, tuple(vec)) for vec in basis]
+    rows = [
+        [int(j == r) for j in range(m - 2)] + [r + 1, -(r + 2)] for r in range(m - 2)
+    ]
+    rows.append([0] * (m - 2) + [m, -m])
+    return [KernelVector(params, tuple(row)) for row in rows]
 
 
 def cocycle_image_basis(params):

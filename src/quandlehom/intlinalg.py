@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Everything in this module works over plain Python integers, so all results
-are exact regardless of entry size.  The central tool is the Smith normal
-form, from which we derive kernels, canonical bases of congruence
-lattices, and the invariant factors of finitely generated abelian groups
-presented as Ker/Im of a pair of boundary maps.
+are exact regardless of entry size.  The Smith normal form, after a sparse
+elimination of unit pivots, gives the invariant factors of finitely
+generated abelian groups presented as Ker/Im of a pair of boundary maps;
+``hnf_rows`` gives canonical bases of lattices.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class IntMatrix:
             [list(col) for col in zip(*self.data)], shape=(self.cols, self.rows)
         )
 
-    def column(self, j):
-        return [row[j] for row in self.data]
-
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
@@ -106,7 +103,7 @@ class SmithForm:
     """Diagonalization d = u @ matrix @ v with u, v unimodular.
 
     ``v_inv`` is the inverse of ``v``; it comes for free from the column
-    bookkeeping and saves a separate inversion when extracting kernels.
+    bookkeeping and saves a separate inversion.
     Transform fields are None unless transforms were requested.
     """
 
@@ -114,10 +111,6 @@ class SmithForm:
     u: IntMatrix | None = None
     v: IntMatrix | None = None
     v_inv: IntMatrix | None = None
-
-    @property
-    def rank(self):
-        return sum(1 for e in self.d.diagonal() if e != 0)
 
 
 @dataclass(frozen=True)
@@ -410,12 +403,6 @@ def homology_invariants(d_low, d_high):
     )
 
 
-def kernel_basis(matrix):
-    """Basis of the integer kernel {x : matrix @ x == 0}, as a list of vectors."""
-    snf = smith_normal_form(matrix, transforms=True)
-    return [snf.v.column(j) for j in range(snf.rank, matrix.cols)]
-
-
 def hnf_rows(vectors, width=None):
     """Canonical (row-style Hermite) basis of the lattice spanned by ``vectors``.
 
@@ -465,26 +452,3 @@ def hnf_rows(vectors, width=None):
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[h])]
         h += 1
     return rows[:h]
-
-
-def congruence_kernel_basis(rows, mods):
-    """Canonical basis of {x : rows[i] . x == 0 (mod mods[i]) for all i}.
-
-    A modulus of 0 means exact equality for that row.  The congruences are
-    solved by augmenting each modular row with a fresh slack column and
-    projecting the integer kernel back onto the original coordinates.
-    """
-    if len(rows) != len(mods):
-        raise ShapeMismatchError("one modulus per row required")
-    if not rows:
-        raise ShapeMismatchError("at least one row required")
-    width = len(rows[0])
-    slack = [i for i, m in enumerate(mods) if m != 0]
-    aug = []
-    for i, row in enumerate(rows):
-        extra = [0] * len(slack)
-        if mods[i]:
-            extra[slack.index(i)] = mods[i]
-        aug.append(list(row) + extra)
-    basis = kernel_basis(IntMatrix(aug, shape=(len(rows), width + len(slack))))
-    return hnf_rows([vec[:width] for vec in basis], width)

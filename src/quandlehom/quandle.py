@@ -15,6 +15,7 @@ proves the formula explicitly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -236,19 +237,23 @@ def is_connected(quandle):
     return len(orbits(quandle)) == 1
 
 
+# ASCII decimal only: int() would also take "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_table(text):
     """Parse the plain-text table format: first line n, then n rows of n entries.
 
-    Entries are checked to lie in 0..n-1 before any axiom validation.
+    Numbers are ASCII decimal integers.  Entries are checked to lie in
+    0..n-1 before any axiom validation.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
         raise TableFormatError("empty table file")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    if not _INTEGER.fullmatch(lines[0]):
         raise TableFormatError(f"first line must be the size, got {lines[0]!r}")
+    n = int(lines[0])
     if n < 1:
         raise TableFormatError(f"size must be >= 1, got {n}")
     if len(lines) != n + 1:
@@ -260,10 +265,9 @@ def parse_table(text):
             raise TableFormatError(f"row {a} has {len(tokens)} entries, expected {n}")
         row = []
         for b, tok in enumerate(tokens):
-            try:
-                e = int(tok)
-            except ValueError:
+            if not _INTEGER.fullmatch(tok):
                 raise TableFormatError(f"entry ({a},{b}) = {tok!r} is not an integer")
+            e = int(tok)
             if not 0 <= e < n:
                 raise TableFormatError(f"entry ({a},{b}) = {e} outside 0..{n - 1}")
             row.append(e)

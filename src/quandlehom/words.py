@@ -82,11 +82,14 @@ class Word:
         return format_word(self)
 
 
-_TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z")
+_TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
 
 
 def parse_word(text, params):
-    """Parse whitespace-separated tokens e<color> or e<color>^<exp>."""
+    """Parse whitespace-separated tokens e<color> or e<color>^<exp>.
+
+    Colors and exponents are ASCII decimal integers.
+    """
     letters = []
     for token in text.split():
         match = _TOKEN.match(token)

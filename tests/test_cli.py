@@ -169,6 +169,23 @@ def test_word_syntax_error(capsys):
     )
     assert code == 3
     assert report["error"]["code"] == "WordSyntax"
+    # ARABIC-INDIC DIGIT THREE, which \d would read as 3
+    code, report = run_cli(
+        capsys, "normal-form", "--n", "6", "--t", "5", "--word", "e\u0663"
+    )
+    assert code == 3
+    assert report["error"]["message"] == "bad token 'e\u0663'"
+
+
+def test_axioms_non_utf8_table(tmp_path, capsys):
+    path = tmp_path / "binary.tbl"
+    path.write_bytes(b"2\n0 1\n\xff\xfe 0\n")
+    code = main(["axioms", "--table", str(path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    report = json.loads(out)  # one JSON object, no traceback
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "TableFormat"
 
 
 def test_verify_refuses_empty_range(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -86,6 +87,25 @@ def test_kernel_lattice_examples():
     assert hnf_rows([list(kv.v) for kv in basis] + [list(witness.v)]) == hnf_rows(
         [list(kv.v) for kv in basis]
     )
+
+
+def _lattice_rows(m):
+    # the trivial quandle on Z/m (t = 1) has m orbits
+    return [list(kv.v) for kv in kernel_lattice_basis(LinearAlexanderParams(m, 1))]
+
+
+def test_kernel_lattice_basis_is_the_whole_lattice():
+    assert _lattice_rows(3) == [[1, 1, -2], [0, 3, -3]]
+    assert _lattice_rows(4) == [[1, 0, 1, -2], [0, 1, 2, -3], [0, 0, 4, -4]]
+    for m in range(1, 61):
+        basis = _lattice_rows(m)
+        assert hnf_rows(basis, m) == basis, m
+    # brute force: every small lattice vector is already in the span
+    for m in range(2, 6):
+        basis = _lattice_rows(m)
+        for v in itertools.product(range(-3, 4), repeat=m):
+            if sum(v) == 0 and sum(r * x for r, x in enumerate(v)) % m == 0:
+                assert hnf_rows(basis + [list(v)], m) == basis, v
 
 
 def test_kernel_lattice_membership():

@@ -38,7 +38,7 @@ def test_d2_column_entries():
     q = build_alexander(LinearAlexanderParams(4, 3))
     pair = boundary_matrices(q)
     j = pair.basis2.index((1, 2))
-    column = pair.d2.column(j)
+    column = [row[j] for row in pair.d2.data]
     expected = [0, 1, 0, -1]
     assert column == expected
 

@@ -201,3 +201,12 @@ def test_table_roundtrip():
 def test_parse_table_rejects(text):
     with pytest.raises(TableFormatError):
         parse_table(text)
+
+
+def test_parse_table_reads_ascii_decimal_only():
+    # int() reads "1_0" as 10 and ARABIC-INDIC DIGITs ONE and TWO as 1 and 2
+    for text in ("2\n0 1_0\n1 0\n", "2\n0 \u0661\n1 0\n"):
+        with pytest.raises(TableFormatError, match="is not an integer"):
+            parse_table(text)
+    with pytest.raises(TableFormatError, match="first line must be the size"):
+        parse_table("\u0662\n0 1\n1 0\n")
