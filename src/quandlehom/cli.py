@@ -9,14 +9,19 @@ Exit codes: 0 success, 1 verification failure, 2 malformed flags,
 invalid table or a table file that is not UTF-8 as ``TableFormat``,
 unreachable pair, ``verify --n-max`` below 1 as
 ``EmptyRange``, a negative ``--word-samples`` or ``--rewrite-samples`` as
-``NegativeCount``, ...).  Numbers in words and table files are ASCII
-decimal; ``_`` separators and other digits are refused.
+``NegativeCount``, ...).  If the reader closes stdout early, the output
+stops there with no traceback and the exit code is still the report's.
+Numbers in words and table files are ASCII decimal separated by ASCII
+whitespace; ``_`` separators, other digits and other whitespace (such as
+U+3000) are refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 
 from .cocycle import degree_zero_cocycle
 from .checks import run_verification
@@ -46,26 +51,15 @@ def _cmd_axioms(args):
     try:
         quandle = FiniteQuandle(table)
     except QuandleAxiomError as exc:
-        report = _report(
-            args,
-            status="error",
-            error={
-                "code": exc.code,
-                "axiom": exc.axiom,
-                "witness": list(exc.witness),
-            },
-        )
-        return report, 3
+        error = {"code": exc.code, "axiom": exc.axiom, "witness": list(exc.witness)}
+        return _report(args, status="error", error=error), 3
     return _report(args, result={"n": quandle.n, "valid": True}), 0
 
 
 def _cmd_orbits(args):
     params = _params(args)
     blocks = orbits(build_alexander(params))
-    return (
-        _report(args, result={"m": params.num_orbits, "orbits": blocks}),
-        0,
-    )
+    return _report(args, result={"m": params.num_orbits, "orbits": blocks}), 0
 
 
 def _cmd_h2(args):
@@ -76,13 +70,8 @@ def _cmd_h2(args):
         invariants = h2_eisermann(params)
     else:
         invariants = h2_closed_form(params)
-    return (
-        _report(
-            args,
-            result={"rank": invariants.rank, "torsion": list(invariants.torsion)},
-        ),
-        0,
-    )
+    result = {"rank": invariants.rank, "torsion": list(invariants.torsion)}
+    return _report(args, result=result), 0
 
 
 def _cmd_normal_form(args):
@@ -110,10 +99,7 @@ def _cmd_phi_table(args):
         [list(degree_zero_cocycle(params, a, b).v) for b in range(params.n)]
         for a in range(params.n)
     ]
-    return (
-        _report(args, result={"m": params.num_orbits, "table": table}),
-        0,
-    )
+    return _report(args, result={"m": params.num_orbits, "table": table}), 0
 
 
 def _cmd_verify(args):
@@ -229,17 +215,15 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         report, code = args.handler(args)
-    except QuandleHomError as exc:
-        report = _report(
-            args, status="error", error={"code": exc.code, "message": str(exc)}
-        )
-        code = 3
-    except OSError as exc:
-        report = _report(
-            args, status="error", error={"code": "IO", "message": str(exc)}
-        )
-        code = 3
-    print(json.dumps(report, indent=2))
+    except (QuandleHomError, OSError) as exc:
+        name = exc.code if isinstance(exc, QuandleHomError) else "IO"
+        error = {"code": name, "message": str(exc)}
+        report, code = _report(args, status="error", error=error), 3
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader left: let the interpreter's last flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

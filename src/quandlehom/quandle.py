@@ -239,15 +239,19 @@ def is_connected(quandle):
 
 # ASCII decimal only: int() would also take "1_0" and non-ASCII digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# fields and lines split on ASCII whitespace only: str.split() and
+# str.splitlines() would also split on U+3000, U+001C and their kin
+ASCII_FIELD = re.compile(r"[^ \t\n\r\v\f]+")
+_LINE_BREAK = re.compile(r"\r\n?|[\n\v\f]")
 
 
 def parse_table(text):
     """Parse the plain-text table format: first line n, then n rows of n entries.
 
-    Numbers are ASCII decimal integers.  Entries are checked to lie in
-    0..n-1 before any axiom validation.
+    Numbers are ASCII decimal integers separated by ASCII whitespace.
+    Entries are checked to lie in 0..n-1 before any axiom validation.
     """
-    lines = [line.strip() for line in text.splitlines()]
+    lines = [line.strip(" \t") for line in _LINE_BREAK.split(text)]
     lines = [line for line in lines if line]
     if not lines:
         raise TableFormatError("empty table file")
@@ -260,7 +264,7 @@ def parse_table(text):
         raise TableFormatError(f"expected {n} rows after the size, got {len(lines) - 1}")
     table = []
     for a, line in enumerate(lines[1:]):
-        tokens = line.split()
+        tokens = ASCII_FIELD.findall(line)
         if len(tokens) != n:
             raise TableFormatError(f"row {a} has {len(tokens)} entries, expected {n}")
         row = []

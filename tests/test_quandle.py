@@ -1,7 +1,6 @@
-import math
-
 import pytest
 
+from quandlehom.checks import check_quandle_structure, unit_pairs
 from quandlehom.cli import main
 from quandlehom.errors import (
     BadModulusError,
@@ -62,9 +61,8 @@ def test_build_alexander_entries():
 def test_takasaki_is_twist_minus_one():
     assert build_takasaki(4) == build_alexander(LinearAlexanderParams(4, 3))
     assert build_takasaki(7) == build_alexander(LinearAlexanderParams(7, 6))
-    # two independent formulas: 2b - a and t*a + (1-t)*b at t = -1
-    for n in range(1, 31):
-        assert build_takasaki(n) == build_alexander(LinearAlexanderParams(n, n - 1)), n
+    # check_quandle_structure compares the two formulas for every n <= 30
+    # in test_orbit_count_matches_partition
     for n in (0, -3):
         with pytest.raises(BadModulusError):
             build_takasaki(n)
@@ -162,16 +160,10 @@ def test_orbit_count_examples():
 
 
 def test_orbit_count_matches_partition():
-    for n in range(1, 31):
-        for t in range(n):
-            if math.gcd(t, n) != 1:
-                continue
-            params = LinearAlexanderParams(n, t)
-            quandle = build_alexander(params)
-            blocks = orbits(quandle)
-            m = params.num_orbits
-            assert len(blocks) == m
-            assert blocks == [sorted(range(r, n, m)) for r in range(m)]
+    # orbits are the cosets of mZ/n, and twist -1 gives the dihedral table
+    for params in unit_pairs(30):
+        result = check_quandle_structure(params)
+        assert result.passed, (params, result.failures)
 
 
 def test_is_connected():
@@ -196,6 +188,8 @@ def test_table_roundtrip():
         "1\n2\n",  # entry out of range
         "2\n0 a\n1 0\n",  # non-integer entry
         "0\n",
+        "2\n0\u30001\n1 0\n",  # U+3000 IDEOGRAPHIC SPACE is not ASCII whitespace
+        "2\n0 1\x1c1 0\n",  # nor is U+001C FILE SEPARATOR a line break
     ],
 )
 def test_parse_table_rejects(text):

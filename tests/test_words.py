@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from quandlehom.checks import rule_violation, trace_violation, unit_pairs
+from quandlehom.checks import (
+    check_rewriting,
+    check_word_laws,
+    rule_violation,
+    trace_violation,
+    unit_pairs,
+)
 from quandlehom.errors import (
     LengthMismatchError,
     NotInImageError,
@@ -105,10 +111,13 @@ def test_word_eval_multiplicative():
             assert word_eval(w1.inverse()) == word_eval(w1).inverse()
 
 
-def test_generators_pairwise_distinct():
+def test_word_laws_check():
+    # among them: e_x are pairwise distinct, and degree_weight(section(k, a))
+    # is (k, a) for -5 <= k <= 5 and every weight a
+    rng = random.Random(11)
     for params in (P43, P94, LinearAlexanderParams(12, 7)):
-        packed = [word_eval(generator(params, x)) for x in range(params.n)]
-        assert len(set(packed)) == params.n
+        result = check_word_laws(params, rng)
+        assert result.passed, result.failures
 
 
 def test_degree_weight_examples():
@@ -120,14 +129,6 @@ def test_degree_weight_examples():
     f = degree_weight(parse_word("e0 e3", P43))
     assert f == (2, 3)
     assert degree_weight(section(P43, 2, 3)) == f
-
-
-def test_degree_weight_section_surjective():
-    for params in (P43, P94):
-        for k in range(-5, 6):
-            for a in range(params.n):
-                f = degree_weight(section(params, k, a))
-                assert f == (k, a)
 
 
 def collapse(packed):
@@ -225,25 +226,6 @@ def test_central_power_degree_examples():
     assert central_power_degree(P94) == 3
 
 
-def test_central_powers_commute():
-    for params in (P43, P94, LinearAlexanderParams(12, 5)):
-        d = central_power_degree(params)
-        for x in range(params.n):
-            power = generator(params, x, d)
-            for y in range(params.n):
-                assert act(y, power) == y
-                assert word_eval(power * generator(params, y)) == word_eval(
-                    generator(params, y) * power
-                )
-        # powers below d move at least one element
-        for smaller in range(1, d):
-            assert any(
-                act(y, generator(params, x, smaller)) != y
-                for x in range(params.n)
-                for y in range(params.n)
-            )
-
-
 def test_section_examples():
     assert section(P43, 1, 2).letters == ((2, 1),)
     assert section(P43, 2, 3).letters == ((0, 1), (3, 1))
@@ -304,18 +286,8 @@ def test_rewrite_trace_examples():
 def test_rewrite_trace_preserves_value():
     rng = random.Random(53)
     for params in (P43, P94, LinearAlexanderParams(12, 5), LinearAlexanderParams(6, 1)):
-        for _ in range(150):
-            w = random_word(params, rng, 10)
-            packed = word_eval(w)
-            final, steps = rewrite_trace(w)
-            assert final.letters == canonical_word(packed).letters
-            before = w
-            for step in steps:
-                assert word_eval(step.word) == packed
-                assert step.rule in ("braid", "central-power", "relation")
-                assert rule_violation(before, step.word, step.rule) is None
-                before = step.word
-            assert trace_violation(w, final, steps) is None
+        result = check_rewriting(params, rng, samples=150)
+        assert result.passed, result.failures
 
 
 def test_forged_traces_break_legality():
@@ -342,6 +314,24 @@ def test_forged_traces_break_legality():
     assert rule_violation(before, wrong, "braid") is not None
     assert rule_violation(before, before, "braid") is not None
     assert rule_violation(before, right, "shuffle") is not None
+
+
+def test_trace_short_of_the_final_word_is_rejected(monkeypatch):
+    word = parse_word("e5^-1 e0 e7 e3^-2", P94)
+    final, steps = rewrite_trace(word)
+    short = steps[:-1]
+    # every step of the short trace is legal; it only stops before the end
+    assert trace_violation(word, short[-1].word, short) is None
+    assert trace_violation(word, final, short) is not None
+
+    def stop_short(w):
+        final, steps = rewrite_trace(w)
+        return final, steps[:-1]
+
+    monkeypatch.setattr("quandlehom.checks.rewrite_trace", stop_short)
+    result = check_rewriting(P94, random.Random(5), samples=40)
+    assert result.failures
+    assert all("disagrees with the canonical word" in f for f in result.failures)
 
 
 def test_rewrite_trace_steps_grow_with_runs():
@@ -380,7 +370,11 @@ def test_word_syntax_roundtrip():
         assert parse_word(format_word(word), P43).letters == word.letters
 
 
-@pytest.mark.parametrize("text", ["e", "1", "e-1", "e1^", "e1^0", "e9", "e1 ^2", "f1"])
+@pytest.mark.parametrize(
+    "text",
+    # U+3000 IDEOGRAPHIC SPACE and U+001C FILE SEPARATOR are not ASCII whitespace
+    ["e", "1", "e-1", "e1^", "e1^0", "e9", "e1 ^2", "f1", "e1\u3000e2", "e1\x1ce2"],
+)
 def test_word_syntax_rejects(text):
     with pytest.raises(WordSyntaxError):
         parse_word(text, P43)
