@@ -30,6 +30,15 @@ def test_kernel_vector_validation():
     assert (-v).v == (2, -2)
 
 
+def test_cocycle_normalizations():
+    for params in (P43, P94):
+        for k in range(-2, 3):
+            for mm in range(-2, 3):
+                for a in range(params.n):
+                    assert extension_cocycle(params, (k, a), (mm, 0)).is_zero()
+                    assert extension_cocycle(params, (k, 0), (mm, a)).is_zero()
+
+
 def test_cocycle_value_example():
     # the defining word e0^-1 e1 e0^-1 e1 e2^-1 e0 counts (-2, 2) per orbit
     value = extension_cocycle(P43, (0, 1), (0, 1))

@@ -62,12 +62,22 @@ def test_h2_trivial_quandle():
     assert h2_chain_complex(build_alexander(params)) == expected
 
 
+def test_h2_discriminating_cases():
+    # these two separate the order-versus-index readings of the torsion
+    params = LinearAlexanderParams(6, 5)  # m = 2, gcd(2, 3) = 1
+    expected = AbelianInvariants(2)
+    assert h2_closed_form(params) == expected
+    assert h2_eisermann(params) == expected
+    assert h2_chain_complex(build_alexander(params)) == expected
+    params = LinearAlexanderParams(8, 3)  # m = 2, gcd(2, 4) = 2
+    expected = AbelianInvariants(2, (2, 2))
+    assert h2_closed_form(params) == expected
+    assert h2_eisermann(params) == expected
+    assert h2_chain_complex(build_alexander(params)) == expected
+
+
 def test_h2_closed_form_values():
     assert h2_closed_form(LinearAlexanderParams(4, 3)) == AbelianInvariants(2, (2, 2))
-    # these two separate the order-versus-index readings of the torsion
-    # m = 2 with gcd(2, 3) = 1, and m = 2 with gcd(2, 4) = 2
-    assert h2_closed_form(LinearAlexanderParams(6, 5)) == AbelianInvariants(2)
-    assert h2_closed_form(LinearAlexanderParams(8, 3)) == AbelianInvariants(2, (2, 2))
     # product of two distinct primes: torsion-free whichever factor m is
     assert h2_closed_form(LinearAlexanderParams(15, 13)) == AbelianInvariants(6)
     # p^2 with p = 5 orbits, too large for the chain oracle but closed forms agree

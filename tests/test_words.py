@@ -111,6 +111,12 @@ def test_word_eval_multiplicative():
             assert word_eval(w1.inverse()) == word_eval(w1).inverse()
 
 
+def test_generators_pairwise_distinct():
+    for params in (P43, P94, LinearAlexanderParams(12, 7)):
+        packed = [word_eval(generator(params, x)) for x in range(params.n)]
+        assert len(set(packed)) == params.n
+
+
 def test_word_laws_check():
     # among them: e_x are pairwise distinct, and degree_weight(section(k, a))
     # is (k, a) for -5 <= k <= 5 and every weight a
@@ -129,6 +135,13 @@ def test_degree_weight_examples():
     f = degree_weight(parse_word("e0 e3", P43))
     assert f == (2, 3)
     assert degree_weight(section(P43, 2, 3)) == f
+
+
+def test_degree_weight_section_surjective():
+    for params in (P43, P94):
+        for k in range(-5, 6):
+            for a in range(params.n):
+                assert degree_weight(section(params, k, a)) == (k, a)
 
 
 def collapse(packed):
