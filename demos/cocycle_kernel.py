@@ -18,8 +18,8 @@ print(f"quandle: twist {params.t} on Z/{n}, {params.num_orbits} orbits")
 print()
 
 # The section (k, a) |-> e_0^(k-1) e_a fails to be a morphism; the failure
-# phi(alpha, beta) is central of degree and weight zero, so it is a vector
-# of per-orbit letter counts.
+# phi(alpha, beta) is central of degree and weight zero: a PackedElement
+# (v, 0) whose v counts the letters per orbit.
 print("degree-zero cocycle table (rows a, columns b):")
 for a in range(n):
     print("  ", [degree_zero_cocycle(params, a, b).v for b in range(n)])
@@ -34,7 +34,7 @@ print()
 # The commutator pairing vanishes identically over Z/n; that collapse is
 # what makes the two-letter shift relation (and hence the normal form) work.
 print("commutator form on all pairs is zero:",
-      all(commutator_form(params, x, y).is_zero()
+      all(not any(commutator_form(params, x, y).v)
           for x in range(n) for y in range(n)))
 print()
 

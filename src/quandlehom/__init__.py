@@ -8,7 +8,8 @@ extension cocycle, and the second quandle homology by three independent
 routes that are cross-validated against each other.
 
 The product law of Z^m x| Z/n is written once, in ``PackedElement``; a
-(degree, weight) pair is a plain int tuple, its collapse to Z x| Z/n.
+(degree, weight) pair is a plain int tuple, its collapse to Z x| Z/n, and a
+cocycle value or kernel lattice row is a ``PackedElement`` (v, 0).
 ``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
@@ -73,7 +74,6 @@ from .words import (
     word_eval,
 )
 from .cocycle import (
-    KernelVector,
     cocycle_image_basis,
     commutator_form,
     degree_zero_cocycle,
@@ -97,7 +97,6 @@ __all__ = [
     "EmptyRangeError",
     "FiniteQuandle",
     "IntMatrix",
-    "KernelVector",
     "LengthMismatchError",
     "LinearAlexanderParams",
     "NegativeCountError",

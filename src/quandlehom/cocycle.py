@@ -2,74 +2,32 @@
 
 The section s(k, a) = e_0^(k-1) e_a picks one word per (degree, weight)
 pair.  Its defect phi(alpha, beta) = s(alpha) s(beta) s(alpha beta)^-1
-lands in the central kernel of degree_weight, so it is captured completely
-by its abelianization vector; those vectors generate the whole kernel,
-whose Hermite basis ``kernel_lattice_basis`` writes down in closed form.
-Arguments are plain (degree, weight) int pairs; their product is taken as
-PackedElements, whose multiplication is the package's one semidirect law.
+lands in the central kernel of degree_weight: a PackedElement (v, 0) of
+degree 0, on which the package's one semidirect law is plain addition of
+the vectors v.  Those values generate the whole kernel, whose Hermite basis
+``kernel_lattice_basis`` writes down in closed form.  Arguments are plain
+(degree, weight) int pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import LengthMismatchError
 from .intlinalg import hnf_rows
-from .quandle import LinearAlexanderParams
-from .words import section, word_eval
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """Element of the kernel of degree_weight, as its abelianization vector.
-
-    Entries sum to zero (degree zero) and satisfy sum(r * v_r) == 0 mod m
-    (weight zero); the central kernel embeds faithfully this way, so
-    componentwise arithmetic is the group law.
-    """
-
-    params: LinearAlexanderParams
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.params.num_orbits
-        v = tuple(int(x) for x in self.v)
-        if len(v) != m:
-            raise LengthMismatchError(f"vector has {len(v)} entries, expected {m}")
-        if sum(v) != 0:
-            raise ValueError(f"{v} has nonzero degree")
-        if sum(r * x for r, x in enumerate(v)) % m:
-            raise ValueError(f"{v} has nonzero weight modulo {m}")
-        object.__setattr__(self, "v", v)
-
-    def __add__(self, other):
-        if self.params != other.params:
-            raise ValueError("vectors from different quandles")
-        return KernelVector(self.params, tuple(x + y for x, y in zip(self.v, other.v)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KernelVector(self.params, tuple(-x for x in self.v))
-
-    def is_zero(self):
-        return not any(self.v)
+from .words import PackedElement, section, word_eval
 
 
 def extension_cocycle(params, alpha, beta):
-    """phi(alpha, beta) = s(alpha) s(beta) s(alpha*beta)^-1 as a KernelVector.
+    """phi(alpha, beta) = s(alpha) s(beta) s(alpha*beta)^-1 as a PackedElement.
 
     alpha and beta are (degree, weight) pairs.  The word
     e_0^(k-1) e_a e_0^(m-1) e_b e_{t^m a + b}^-1 e_0^(1-k-m) is evaluated as
     the product of its three sections' PackedElements, alpha*beta being the
-    degree collapse of the first two.  It always has degree 0 and weight 0;
-    its abelianization is returned.
+    degree collapse of the first two.  It always has degree 0 and weight 0,
+    so it is (v, 0) with v its abelianization.
     """
     product = word_eval(section(params, *alpha)) * word_eval(section(params, *beta))
     packed = product * word_eval(section(params, product.degree, product.a)).inverse()
     assert packed.degree == 0 and packed.a == 0, "cocycle word left the kernel"
-    return KernelVector(params, packed.v)
+    return packed
 
 
 def degree_zero_cocycle(params, a, b):
@@ -78,13 +36,13 @@ def degree_zero_cocycle(params, a, b):
 
 
 def commutator_form(params, x, y):
-    """The commutator pairing phi0(y, x) - phi0(x, y).
+    """The commutator pairing phi0(y, x) phi0(x, y)^-1, i.e. v(y, x) - v(x, y).
 
     It equals the class of [e_0^-1 e_y, e_0^-1 e_x] and is bi-additive;
     over Z/n it vanishes identically, which is what collapses the two-letter
     shift relation used in the rewriting.
     """
-    return degree_zero_cocycle(params, y, x) - degree_zero_cocycle(params, x, y)
+    return degree_zero_cocycle(params, y, x) * degree_zero_cocycle(params, x, y).inverse()
 
 
 def kernel_lattice_basis(params):
@@ -96,16 +54,16 @@ def kernel_lattice_basis(params):
         e_r + (r+1) e_(m-2) - (r+2) e_(m-1)    for r = 0, ..., m-3,
         m e_(m-2) - m e_(m-1),
 
-    e.g. [[1, 1, -2], [0, 3, -3]] for m = 3.  Each row has sum 0 and weight
-    -m == 0, so it lies in L (KernelVector checks both).  In the basis
-    f_r = e_r - e_(m-1) of the sum-zero lattice H the rows read
-    f_r + (r+1) f_(m-2) and m f_(m-2): triangular with diagonal
+    e.g. [[1, 1, -2], [0, 3, -3]] for m = 3, each returned as the kernel
+    element (row, 0).  Each row has sum 0 and weight -m == 0, so it lies in
+    L.  In the basis f_r = e_r - e_(m-1) of the sum-zero lattice H the rows
+    read f_r + (r+1) f_(m-2) and m f_(m-2): triangular with diagonal
     (1, ..., 1, m), so they span a sublattice of index m in H.  The weight
     map H -> Z/m is onto (e_1 - e_0 has weight 1), so L has index m in H
     too, and the rows span L.  They are already in the form hnf_rows
     returns: positive pivots, and r+1 in [0, m) above the pivot m, so equal
     lattices give equal lists.  The lattice has rank m - 1 and is spanned
-    by the cocycle values.
+    by the cocycle values; check_kernel_generation compares the two bases.
     """
     m = params.num_orbits
     if m == 1:
@@ -114,7 +72,7 @@ def kernel_lattice_basis(params):
         [int(j == r) for j in range(m - 2)] + [r + 1, -(r + 2)] for r in range(m - 2)
     ]
     rows.append([0] * (m - 2) + [m, -m])
-    return [KernelVector(params, tuple(row)) for row in rows]
+    return [PackedElement(params, row, 0) for row in rows]
 
 
 def cocycle_image_basis(params):
@@ -129,7 +87,7 @@ def cocycle_image_basis(params):
     for a in range(n):
         for b in range(n):
             value = extension_cocycle(params, (1, a), (1, b))
-            if not value.is_zero():
+            if any(value.v):
                 vectors.append(list(value.v))
     basis = hnf_rows(vectors, params.num_orbits)
-    return [KernelVector(params, tuple(vec)) for vec in basis]
+    return [PackedElement(params, row, 0) for row in basis]

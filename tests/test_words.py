@@ -347,6 +347,28 @@ def test_trace_short_of_the_final_word_is_rejected(monkeypatch):
     assert all("disagrees with the canonical word" in f for f in result.failures)
 
 
+def test_empty_trace_must_merge_to_the_final_word(monkeypatch):
+    word = parse_word("e2 e3", P43)
+    final, steps = rewrite_trace(word)
+    assert steps and format_word(final) == "e1 e2"
+    # dropping every step, with the true final word or a forged one
+    assert trace_violation(word, final, ()) is not None
+    assert trace_violation(word, parse_word("e0 e1", P43), ()) is not None
+    # words that only merge into their canonical form need no step
+    for text, merged in (("e1 e1^-1", ""), ("e0 e0 e2", "e0^2 e2")):
+        word = parse_word(text, P43)
+        final, steps = rewrite_trace(word)
+        assert steps == () and format_word(final) == merged
+        assert trace_violation(word, final, steps) is None
+
+    monkeypatch.setattr(
+        "quandlehom.checks.rewrite_trace", lambda w: (rewrite_trace(w)[0], ())
+    )
+    result = check_rewriting(P94, random.Random(5), samples=40)
+    assert result.failures
+    assert all("disagrees with the canonical word" in f for f in result.failures)
+
+
 def test_rewrite_trace_steps_grow_with_runs():
     params = LinearAlexanderParams(8, 5)
     lengths = []
