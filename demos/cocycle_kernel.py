@@ -6,7 +6,6 @@ Run:  python demos/cocycle_kernel.py
 from quandlehom import (
     LinearAlexanderParams,
     cocycle_image_basis,
-    commutator_form,
     degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
@@ -31,10 +30,11 @@ print("phi((2,3),(5,0)) =", extension_cocycle(params, (2, 3), (5, 0)).v)
 print("phi((3,0),(2,1)) =", extension_cocycle(params, (3, 0), (2, 1)).v)
 print()
 
-# The commutator pairing vanishes identically over Z/n; that collapse is
-# what makes the two-letter shift relation (and hence the normal form) work.
+# The commutator pairing phi0(y, x) - phi0(x, y) vanishes identically over
+# Z/n, since the cocycle is symmetric; that collapse is what makes the
+# two-letter shift relation (and hence the normal form) work.
 print("commutator form on all pairs is zero:",
-      all(not any(commutator_form(params, x, y).v)
+      all(degree_zero_cocycle(params, x, y) == degree_zero_cocycle(params, y, x)
           for x in range(n) for y in range(n)))
 print()
 

@@ -10,6 +10,8 @@ routes that are cross-validated against each other.
 The product law of Z^m x| Z/n is written once, in ``PackedElement``; a
 (degree, weight) pair is a plain int tuple, its collapse to Z x| Z/n, and a
 cocycle value or kernel lattice row is a ``PackedElement`` (v, 0).
+Cocycle values come from a closed form over residues mod m; the oracle
+``cocycle_image_basis`` spans the kernel from the section words instead.
 ``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
@@ -74,8 +76,6 @@ from .words import (
     word_eval,
 )
 from .cocycle import (
-    cocycle_image_basis,
-    commutator_form,
     degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
@@ -87,6 +87,7 @@ from .homology import (
     h2_closed_form,
     h2_eisermann,
 )
+from .checks import cocycle_image_basis
 
 __version__ = "0.1.0"
 
@@ -124,7 +125,6 @@ __all__ = [
     "canonical_word",
     "central_power_degree",
     "cocycle_image_basis",
-    "commutator_form",
     "degree_weight",
     "degree_zero_cocycle",
     "extension_cocycle",

@@ -15,14 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .cocycle import (
-    cocycle_image_basis,
-    extension_cocycle,
-    kernel_lattice_basis,
-)
+from .cocycle import extension_cocycle, kernel_lattice_basis
 from .errors import EmptyRangeError, NegativeCountError, NotAComplexError
 from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
-from .intlinalg import IntMatrix, multiplicative_order, smith_normal_form
+from .intlinalg import IntMatrix, hnf_rows, multiplicative_order, smith_normal_form
 from .quandle import (
     LinearAlexanderParams,
     build_alexander,
@@ -32,6 +28,7 @@ from .quandle import (
     orbits,
 )
 from .words import (
+    PackedElement,
     Word,
     act,
     canonical_word,
@@ -462,6 +459,35 @@ def check_rewriting(params, rng, samples=100):
     return result
 
 
+def _word_cocycle(params):
+    """phi(alpha, beta) = s(alpha) s(beta) s(alpha*beta)^-1 from the section
+    words, the oracle for ``extension_cocycle``; alpha*beta is the collapse
+    of the first two.  Sections are evaluated once, kept until phi is dropped.
+    """
+
+    @functools.cache
+    def section_value(k, a):
+        return word_eval(section(params, k, a))
+
+    def phi(alpha, beta):
+        product = section_value(*alpha) * section_value(*beta)
+        packed = product * section_value(product.degree, product.a).inverse()
+        assert packed.degree == 0 and packed.a == 0, "cocycle word left the kernel"
+        return packed
+
+    return phi
+
+
+def cocycle_image_basis(params):
+    """Hermite basis spanned by the word-route values phi((1, a), (1, b)).
+
+    It should equal kernel_lattice_basis: the cocycle generates the kernel.
+    """
+    phi, n = _word_cocycle(params), params.n
+    vectors = [phi((1, a), (1, b)).v for a in range(n) for b in range(n)]
+    return [PackedElement(params, row, 0) for row in hnf_rows(vectors, params.num_orbits)]
+
+
 def check_cocycle_identities(params):
     """Exhaustive identity suite for the extension cocycle.
 
@@ -469,7 +495,8 @@ def check_cocycle_identities(params):
     invariance, reduction to degree one, braided symmetry, the closed
     four-letter form, the degree-zero braiding, the commutator form's
     bi-additivity / antisymmetry / vanishing, and the two-letter shift
-    relation, over every argument (degrees in [-2, 2], all weights).
+    relation, over every argument (degrees in [-2, 2], all weights), on the
+    section-word values; the four-letter form must also equal the formula.
     """
     result = CheckResult(
         "cocycle-identities",
@@ -478,10 +505,11 @@ def check_cocycle_identities(params):
     n, t = params.n, params.t
     params_m = params.num_orbits
 
+    word_phi = _word_cocycle(params)
     # raw value tuples, memoized for the sweeps and freed when this returns
     @functools.cache
     def phi(k, a, mm, b):
-        return extension_cocycle(params, (k, a), (mm, b)).v
+        return word_phi((k, a), (mm, b)).v
 
     degrees = range(-COCYCLE_DEGREE_SPAN, COCYCLE_DEGREE_SPAN + 1)
     zero = (0,) * params_m
@@ -556,8 +584,9 @@ def check_cocycle_identities(params):
                             ),
                         )
                     )
+                    formula = extension_cocycle(params, (k, a), (mm, b)).v
                     result.expect(
-                        closed.v == value and closed.a == 0,
+                        closed.v == value == formula and closed.a == 0,
                         f"closed cocycle form fails at ({k},{a}),({mm},{b})",
                     )
 

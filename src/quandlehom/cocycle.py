@@ -1,48 +1,37 @@
 """The 2-cocycle measuring how far the canonical section is from a morphism.
 
 The section s(k, a) = e_0^(k-1) e_a picks one word per (degree, weight)
-pair.  Its defect phi(alpha, beta) = s(alpha) s(beta) s(alpha beta)^-1
-lands in the central kernel of degree_weight: a PackedElement (v, 0) of
-degree 0, on which the package's one semidirect law is plain addition of
-the vectors v.  Those values generate the whole kernel, whose Hermite basis
-``kernel_lattice_basis`` writes down in closed form.  Arguments are plain
-(degree, weight) int pairs.
+pair.  Its defect phi(alpha, beta) = s(alpha) s(beta) s(alpha beta)^-1 is
+a central PackedElement (v, 0).  For all degrees, with [x] = x mod m,
+
+    phi((k, a), (l, b)) = e_[a] + e_[b] - e_[a+b] - e_0,
+
+since the cocycle word equals e_0^-1 e_{t^-k a} e_{t^-k t^(1-l) b}
+e_{t^-k (t a + t^(1-l) b)}^-1, e_x counts in orbit [x], and m = gcd(n, 1-t)
+divides 1 - t: t == 1 mod m, so powers of t fix residues mod m.  checks.py
+keeps the word route as the oracle.  The values span the kernel lattice.
 """
 
 from __future__ import annotations
 
-from .intlinalg import hnf_rows
-from .words import PackedElement, section, word_eval
+from .words import PackedElement
 
 
 def extension_cocycle(params, alpha, beta):
-    """phi(alpha, beta) = s(alpha) s(beta) s(alpha*beta)^-1 as a PackedElement.
-
-    alpha and beta are (degree, weight) pairs.  The word
-    e_0^(k-1) e_a e_0^(m-1) e_b e_{t^m a + b}^-1 e_0^(1-k-m) is evaluated as
-    the product of its three sections' PackedElements, alpha*beta being the
-    degree collapse of the first two.  It always has degree 0 and weight 0,
-    so it is (v, 0) with v its abelianization.
-    """
-    product = word_eval(section(params, *alpha)) * word_eval(section(params, *beta))
-    packed = product * word_eval(section(params, product.degree, product.a)).inverse()
-    assert packed.degree == 0 and packed.a == 0, "cocycle word left the kernel"
-    return packed
+    """phi(alpha, beta) for (degree, weight) pairs, from the closed form."""
+    m = params.num_orbits
+    a, b = alpha[1], beta[1]
+    v = [0] * m
+    v[a % m] += 1
+    v[b % m] += 1
+    v[(a + b) % m] -= 1
+    v[0] -= 1
+    return PackedElement(params, v, 0)
 
 
 def degree_zero_cocycle(params, a, b):
     """The cocycle restricted to degree zero: phi((0, a), (0, b))."""
     return extension_cocycle(params, (0, a), (0, b))
-
-
-def commutator_form(params, x, y):
-    """The commutator pairing phi0(y, x) phi0(x, y)^-1, i.e. v(y, x) - v(x, y).
-
-    It equals the class of [e_0^-1 e_y, e_0^-1 e_x] and is bi-additive;
-    over Z/n it vanishes identically, which is what collapses the two-letter
-    shift relation used in the rewriting.
-    """
-    return degree_zero_cocycle(params, y, x) * degree_zero_cocycle(params, x, y).inverse()
 
 
 def kernel_lattice_basis(params):
@@ -73,21 +62,3 @@ def kernel_lattice_basis(params):
     ]
     rows.append([0] * (m - 2) + [m, -m])
     return [PackedElement(params, row, 0) for row in rows]
-
-
-def cocycle_image_basis(params):
-    """Canonical basis of the lattice spanned by all degree-1 cocycle values.
-
-    Spanning vectors are phi((1, a), (1, b)) for all colors a, b; the
-    result should coincide with kernel_lattice_basis, which is the
-    generation statement for the kernel.
-    """
-    n = params.n
-    vectors = []
-    for a in range(n):
-        for b in range(n):
-            value = extension_cocycle(params, (1, a), (1, b))
-            if any(value.v):
-                vectors.append(list(value.v))
-    basis = hnf_rows(vectors, params.num_orbits)
-    return [PackedElement(params, row, 0) for row in basis]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadModulusError,
@@ -45,6 +45,7 @@ class LinearAlexanderParams:
 
     n: int
     t: int
+    num_orbits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,11 +53,8 @@ class LinearAlexanderParams:
         object.__setattr__(self, "t", self.t % self.n)
         if math.gcd(self.t, self.n) != 1:
             raise NotAUnitError(f"t={self.t} is not a unit modulo {self.n}")
-
-    @property
-    def num_orbits(self):
         # the image of 1-t is gcd(n, 1-t)Z/n, so the orbit count is that gcd
-        return math.gcd(self.n, (1 - self.t) % self.n)
+        object.__setattr__(self, "num_orbits", math.gcd(self.n, (1 - self.t) % self.n))
 
 
 class FiniteQuandle:

@@ -126,7 +126,7 @@ class PackedElement:
 
     def __post_init__(self):
         m = self.params.num_orbits
-        v = tuple(int(x) for x in self.v)
+        v = tuple(map(int, self.v))
         if len(v) != m:
             raise LengthMismatchError(f"vector has {len(v)} entries, expected {m}")
         object.__setattr__(self, "v", v)

@@ -1,8 +1,7 @@
 import itertools
 
-from quandlehom.checks import check_cocycle_identities, unit_pairs
+from quandlehom.checks import _word_cocycle, check_cocycle_identities, unit_pairs
 from quandlehom.cocycle import (
-    commutator_form,
     degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
@@ -52,16 +51,31 @@ def test_degree_zero_twist_invariance():
 
 
 def test_commutator_form_vanishes():
+    # the commutator pairing phi0(y, x) phi0(x, y)^-1 is trivial: the
+    # cocycle is symmetric, in its closed form and along the section words
     for params in (P43, P94, LinearAlexanderParams(8, 3), LinearAlexanderParams(12, 7)):
-        one = PackedElement.identity(params)
+        phi = _word_cocycle(params)
         for u in range(params.n):
-            assert commutator_form(params, u, u) == one
             for v in range(params.n):
-                lam = commutator_form(params, u, v)
-                assert lam == one
-                assert lam * commutator_form(params, v, u) == one
+                assert degree_zero_cocycle(params, u, v) == degree_zero_cocycle(params, v, u)
+                assert phi((0, u), (0, v)) == phi((0, v), (0, u))
     p83 = LinearAlexanderParams(8, 3)
-    assert commutator_form(p83, 1, 3) == PackedElement.identity(p83)
+    assert degree_zero_cocycle(p83, 1, 3) == degree_zero_cocycle(p83, 3, 1)
+
+
+def test_word_oracle_matches_closed_form():
+    # past verify's n <= 8 sweep: the section words give the closed form
+    for params in unit_pairs(16):
+        if params.n < 9:
+            continue
+        phi = _word_cocycle(params)
+        for k in (-1, 0, 1):
+            for mm in (-1, 0, 1):
+                for a in range(params.n):
+                    for b in range(params.n):
+                        alpha, beta = (k, a), (mm, b)
+                        expected = extension_cocycle(params, alpha, beta)
+                        assert phi(alpha, beta) == expected, (params, alpha, beta)
 
 
 def test_kernel_lattice_examples():
