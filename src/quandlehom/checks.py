@@ -694,7 +694,8 @@ def check_h2_oracles(params):
 
 
 def check_smith_random(rng, samples=100, max_dim=12):
-    """Random-matrix properties of the Smith form: chain and recomposition."""
+    """Random-matrix properties of the Smith form: chain, recomposition and
+    unimodular transforms, certified by their inverses."""
     result = CheckResult(
         "smith-normal-form",
         {"samples": samples, "max_dim": max_dim, "entry_bound": SMITH_ENTRY_BOUND},
@@ -722,13 +723,16 @@ def check_smith_random(rng, samples=100, max_dim=12):
             if i != j
         )
         result.expect(off_diag_zero, lambda m=matrix: f"result not diagonal for {m}")
+        # with v @ v_inv == I this is u @ m @ v == d, and d @ v_inv costs
+        # only d's diagonal; u @ u_inv == I makes u unimodular
         result.expect(
-            snf.u @ matrix @ snf.v == snf.d,
-            lambda m=matrix: f"u @ m @ v != d for {m}",
+            snf.u @ matrix == snf.d @ snf.v_inv,
+            lambda m=matrix: f"u @ m != d @ v_inv for {m}",
         )
         result.expect(
-            snf.v @ snf.v_inv == IntMatrix.identity(cols),
-            lambda m=matrix: f"v_inv is wrong for {m}",
+            snf.v @ snf.v_inv == IntMatrix.identity(cols)
+            and snf.u @ snf.u_inv == IntMatrix.identity(rows),
+            lambda m=matrix: f"v_inv or u_inv is wrong for {m}",
         )
     return result
 

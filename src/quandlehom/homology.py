@@ -73,8 +73,8 @@ def boundary_matrices(quandle):
                 d3[index2[pair]][j] += coeff
 
     return BoundaryPair(
-        IntMatrix(d2, shape=(n, len(basis2))),
-        IntMatrix(d3, shape=(len(basis2), len(basis3))),
+        IntMatrix._adopt(d2, len(basis2)),
+        IntMatrix._adopt(d3, len(basis3)),
         tuple(range(n)),
         basis2,
         basis3,
@@ -86,9 +86,10 @@ def h2_chain_complex(quandle):
 
     Exact; it serves as the oracle for the two closed routes.  d3 has
     n(n-1)^2 columns but at most 4 nonzeros in each, and
-    ``homology_invariants`` works in those nonzeros, so the homology step
-    grows with the nonzeros of d3; building the dense d3 still touches all
-    of its roughly n^5 entries.
+    ``homology_invariants`` works in those nonzeros, from the check
+    d2 @ d3 == 0 to both factorizations, so the homology step grows with
+    the nonzeros of d3; building the dense d3 still touches all of its
+    roughly n^5 entries, but the pair is adopted as built, never copied.
     """
     pair = boundary_matrices(quandle)
     return homology_invariants(pair.d2, pair.d3)
@@ -125,7 +126,8 @@ def h2_eisermann(params):
     row = list(range(1, m)) + [-(n // m), -m]
     relation = [0] * (m - 1) + [m, -(n // m)]
     factor = homology_invariants(
-        IntMatrix([row]), IntMatrix([[e] for e in relation])
+        IntMatrix._adopt([row], m + 1),
+        IntMatrix._adopt([[e] for e in relation], 1),
     )
     torsion = tuple(sorted(factor.torsion * m))
     return AbelianInvariants(factor.rank * m, torsion)

@@ -5,6 +5,11 @@ are exact regardless of entry size.  The Smith normal form, after a sparse
 elimination of unit pivots, gives the invariant factors of finitely
 generated abelian groups presented as Ker/Im of a pair of boundary maps;
 ``hnf_rows`` gives canonical bases of lattices.
+
+``IntMatrix(data)`` checks and copies data from outside; matrices the
+package builds are adopted as they are.  ``@`` is the one product and forms
+only the terms where both factors are nonzero.  The Smith transforms ride
+in the working matrix, so every elimination step updates them in passing.
 """
 
 from __future__ import annotations
@@ -26,38 +31,40 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data, shape=None):
+    def __init__(self, data):
         data = [list(row) for row in data]
-        if shape is not None:
-            rows, cols = shape
-        else:
-            rows = len(data)
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(row) != cols for row in data):
-            raise ShapeMismatchError(f"ragged data for a {rows}x{cols} matrix")
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ShapeMismatchError(f"ragged data for a {len(data)}x{cols} matrix")
         for row in data:
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError(f"matrix entries must be int, got {e!r}")
-        self.rows = rows
+        self.rows = len(data)
         self.cols = cols
         self.data = data
 
     @classmethod
+    def _adopt(cls, data, cols):
+        """Take ownership of ``data``: rows of ``cols`` ints each, built in
+        the package and never shared."""
+        matrix = cls.__new__(cls)
+        matrix.rows = len(data)
+        matrix.cols = cols
+        matrix.data = data
+        return matrix
+
+    @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
+        return cls._adopt([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, size):
-        return cls([[int(i == j) for j in range(size)] for i in range(size)])
+        return cls._adopt(_identity_rows(size, size), size)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
 
     def __eq__(self, other):
         return (
@@ -66,44 +73,43 @@ class IntMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
-
     def __repr__(self):
         return f"IntMatrix({self.data!r})"
 
     def __matmul__(self, other):
+        """Product that forms only the terms where both factors are nonzero,
+        so a sparse factor costs time in its nonzeros, not in its size."""
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        bt = list(zip(*other.data)) if other.data else []
+        right = _sparse_rows(other)
         out = []
         for row in self.data:
-            if bt:
-                out.append([sum(x * y for x, y in zip(row, col)) for col in bt])
-            else:
-                out.append([0] * other.cols)
-        return IntMatrix(out, shape=(self.rows, other.cols))
-
-    def transpose(self):
-        return IntMatrix(
-            [list(col) for col in zip(*self.data)], shape=(self.cols, self.rows)
-        )
+            acc = [0] * other.cols
+            for a, terms in zip(row, right):
+                if a:
+                    for j, e in terms.items():
+                        acc[j] += a * e
+            out.append(acc)
+        return IntMatrix._adopt(out, other.cols)
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
-    def is_zero(self):
-        return all(e == 0 for row in self.data for e in row)
+
+def _identity_rows(size, width):
+    """The first ``width`` columns of the size x size identity, as rows."""
+    return [[int(i == j) for j in range(width)] for i in range(size)]
 
 
 @dataclass(frozen=True)
 class SmithForm:
     """Diagonalization d = u @ matrix @ v with u, v unimodular.
 
-    ``v_inv`` is the inverse of ``v``; it comes for free from the column
-    bookkeeping and saves a separate inversion.
+    ``v_inv`` and ``u_inv`` are the inverses of ``v`` and ``u``; each comes
+    from undoing the elimination's operations as they happen, which saves
+    a separate inversion and certifies that u and v are unimodular.
     Transform fields are None unless transforms were requested.
     """
 
@@ -111,6 +117,7 @@ class SmithForm:
     u: IntMatrix | None = None
     v: IntMatrix | None = None
     v_inv: IntMatrix | None = None
+    u_inv: IntMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -165,58 +172,28 @@ def smith_normal_form(matrix, transforms=False):
 
     Returns a SmithForm whose ``d`` is diagonal with non-negative entries
     d_1 | d_2 | ... .  With ``transforms=True`` it also carries unimodular
-    u, v (and v's inverse) such that d == u @ matrix @ v.
+    u, v and their inverses such that d == u @ matrix @ v.
 
     Pivots are chosen with smallest nonzero absolute value to limit entry
     growth; all arithmetic is exact.
     """
-    a = [row[:] for row in matrix.data]
     nr, nc = matrix.rows, matrix.cols
-    if transforms:
-        u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-        v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-        vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    else:
-        u = v = vinv = None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if transforms:
-            u[i], u[j] = u[j], u[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if transforms:
-            u[i] = [-x for x in u[i]]
+    # The working matrix carries u as nr extra columns of the matrix rows
+    # and v as nc extra rows below them, so every row and column operation
+    # updates u and v in passing; the search and the elimination only read
+    # the top-left nr x nc block.  Each operation is undone on v_inv's rows
+    # and on u_inv's columns, kept as the rows of its transpose.  Without
+    # transforms all of these have width 0 and cost nothing.
+    u_cols, v_rows = (nr, nc) if transforms else (0, 0)
+    a = [row + unit for row, unit in zip(matrix.data, _identity_rows(nr, u_cols))]
+    a += _identity_rows(v_rows, nc)
+    uinv_t = _identity_rows(nr, u_cols)
+    vinv = _identity_rows(nc, v_rows)
 
     def add_row(i, src, q):
-        # R_i <- R_i - q*R_src
-        ai, asrc = a[i], a[src]
-        for jj in range(nc):
-            ai[jj] -= q * asrc[jj]
-        if transforms:
-            ui, usrc = u[i], u[src]
-            for jj in range(nr):
-                ui[jj] -= q * usrc[jj]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if transforms:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_col(j, src, q):
-        # C_j <- C_j - q*C_src; the inverse op accumulates on vinv rows
-        for row in a:
-            row[j] -= q * row[src]
-        if transforms:
-            for row in v:
-                row[j] -= q * row[src]
-            vj, vsrc = vinv[j], vinv[src]
-            for jj in range(nc):
-                vsrc[jj] += q * vj[jj]
+        # R_i <- R_i - q*R_src, undone by C_src <- C_src + q*C_i on u_inv
+        a[i] = [x - q * y for x, y in zip(a[i], a[src])]
+        uinv_t[src] = [x + q * y for x, y in zip(uinv_t[src], uinv_t[i])]
 
     def find_pivot(s):
         best = None
@@ -238,56 +215,52 @@ def smith_normal_form(matrix, transforms=False):
         while True:
             i0, j0 = piv
             if i0 != s:
-                swap_rows(s, i0)
+                a[s], a[i0] = a[i0], a[s]
+                uinv_t[s], uinv_t[i0] = uinv_t[i0], uinv_t[s]
             if j0 != s:
-                swap_cols(s, j0)
+                for row in a:
+                    row[s], row[j0] = row[j0], row[s]
+                vinv[s], vinv[j0] = vinv[j0], vinv[s]
             if a[s][s] < 0:
-                negate_row(s)
+                a[s] = [-x for x in a[s]]
+                uinv_t[s] = [-x for x in uinv_t[s]]
             p = a[s][s]
             for i in range(s + 1, nr):
                 if a[i][s]:
                     add_row(i, s, a[i][s] // p)
             for j in range(s + 1, nc):
                 if a[s][j]:
-                    add_col(j, s, a[s][j] // p)
+                    # C_j <- C_j - q*C_s, undone by R_s <- R_s + q*R_j on v_inv
+                    q = a[s][j] // p
+                    for row in a:
+                        row[j] -= q * row[s]
+                    vinv[s] = [x + q * y for x, y in zip(vinv[s], vinv[j])]
             # leftover remainders in the cross become the next, smaller pivot
-            piv = None
-            best_abs = 0
-            for i in range(s + 1, nr):
-                e = a[i][s]
-                if e and (piv is None or abs(e) < best_abs):
-                    piv, best_abs = (i, s), abs(e)
-            for j in range(s + 1, nc):
-                e = a[s][j]
-                if e and (piv is None or abs(e) < best_abs):
-                    piv, best_abs = (s, j), abs(e)
-            if piv is not None:
+            cross = [(i, s) for i in range(s + 1, nr) if a[i][s]]
+            cross += [(s, j) for j in range(s + 1, nc) if a[s][j]]
+            if cross:
+                piv = min(cross, key=lambda ij: abs(a[ij[0]][ij[1]]))
                 continue
             # cross is clear: force the pivot to divide the trailing block
-            p = a[s][s]
-            offender = None
-            for i in range(s + 1, nr):
-                rowi = a[i]
-                for j in range(s + 1, nc):
-                    if rowi[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            block = range(s + 1, nc)
+            offender = next(
+                (i for i in range(s + 1, nr) if any(a[i][j] % p for j in block)), None
+            )
             if offender is None:
                 break
             add_row(s, offender, -1)
             piv = (s, s)
 
-    result = IntMatrix(a, shape=(nr, nc))
-    if transforms:
-        return SmithForm(
-            result,
-            IntMatrix(u, shape=(nr, nr)),
-            IntMatrix(v, shape=(nc, nc)),
-            IntMatrix(vinv, shape=(nc, nc)),
-        )
-    return SmithForm(result)
+    d = IntMatrix._adopt([row[:nc] for row in a[:nr]], nc)
+    if not transforms:
+        return SmithForm(d)
+    return SmithForm(
+        d,
+        IntMatrix._adopt([row[nc:] for row in a[:nr]], nr),
+        IntMatrix._adopt(a[nr:], nc),
+        IntMatrix._adopt(vinv, nc),
+        IntMatrix._adopt([list(col) for col in zip(*uinv_t)], nr),
+    )
 
 
 def _sparse_rows(matrix):
@@ -349,35 +322,11 @@ def invariant_factors(matrix):
             cols[c].discard(i)
 
     core_cols = sorted(j for j, owners in cols.items() if owners)
-    core = IntMatrix(
+    core = IntMatrix._adopt(
         [[row.get(j, 0) for j in core_cols] for row in rows.values()],
-        shape=(len(rows), len(core_cols)),
+        len(core_cols),
     )
     return [1] * units + [e for e in smith_normal_form(core).d.diagonal() if e]
-
-
-def composes_to_zero(d_low, d_high):
-    """True iff d_low @ d_high is the zero matrix.
-
-    Only products of two nonzero entries are formed, so boundary matrices
-    with a handful of nonzeros per column cost time in their nonzeros, not
-    in their size.
-    """
-    if d_low.cols != d_high.rows:
-        raise ShapeMismatchError(
-            f"boundary shapes {d_low.shape} and {d_high.shape} do not chain"
-        )
-    low_columns = [[] for _ in range(d_low.cols)]
-    for k, row in enumerate(_sparse_rows(d_low)):
-        for i, e in row.items():
-            low_columns[i].append((k, e))
-    product = {}
-    for i, row in enumerate(_sparse_rows(d_high)):
-        terms = low_columns[i]
-        for j, e in row.items():
-            for k, a in terms:
-                product[k, j] = product.get((k, j), 0) + a * e
-    return not any(product.values())
 
 
 def homology_invariants(d_low, d_high):
@@ -391,9 +340,10 @@ def homology_invariants(d_low, d_high):
         H = Z^(cols(d_low) - rank(d_low) - rank(d_high)) + torsion,
 
     where the torsion is the invariant factors >= 2 of d_high.  No basis
-    of the kernel is ever formed.
+    of the kernel is ever formed.  The check d_low @ d_high == 0 and both
+    factorizations work in the nonzeros of the pair, not in its size.
     """
-    if not composes_to_zero(d_low, d_high):
+    if any(map(any, (d_low @ d_high).data)):
         raise NotAComplexError("d_low @ d_high is nonzero")
     low_rank = len(invariant_factors(d_low))
     high_factors = invariant_factors(d_high)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
+from quandlehom import checks
 from quandlehom.errors import (
     NotAComplexError,
     NotAUnitError,
@@ -52,18 +54,60 @@ def test_multiplicative_order_rejects_non_units():
 
 
 def test_matrix_basics():
-    m = IntMatrix([[1, 2], [3, 4]])
+    source = [[1, 2], [3, 4]]
+    m = IntMatrix(source)
     assert m.shape == (2, 2)
-    assert m[1, 0] == 3
-    assert m.transpose() == IntMatrix([[1, 3], [2, 4]])
+    assert m.data == [[1, 2], [3, 4]]
     assert m @ IntMatrix.identity(2) == m
-    assert IntMatrix.zeros(2, 3).is_zero()
+    assert IntMatrix.zeros(2, 3).data == [[0, 0, 0], [0, 0, 0]]
+    # data from outside is copied: later edits of the source do not leak in
+    source[1][0] = 7
+    source.append([5, 6])
+    assert m.data == [[1, 2], [3, 4]] and m.shape == (2, 2)
+    assert IntMatrix([]).shape == (0, 0)
+    assert IntMatrix.zeros(0, 4).shape == (0, 4)
     with pytest.raises(ShapeMismatchError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ShapeMismatchError):
+        IntMatrix([[], [1]])
+    with pytest.raises(ShapeMismatchError):
         m @ IntMatrix.identity(3)
-    with pytest.raises(TypeError):
-        IntMatrix([[1.5]])
+    for entry in (1.5, 2.0, True, "3"):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, entry]])
+
+
+def _product_by_loops(left, right, cols):
+    # independent oracle: the textbook triple loop
+    return [
+        [sum(row[k] * right[k][j] for k in range(len(right))) for j in range(cols)]
+        for row in left
+    ]
+
+
+def test_matmul_matches_triple_loop():
+    # about a third each of all-zero, 10% dense and dense factors, with
+    # 0 x k and k x 0 shapes among them
+    rng = random.Random(11)
+    for sample in range(200):
+        rows, inner, cols = (rng.randint(0, 6) for _ in range(3))
+        density = (0.0, 0.1, 1.0)[sample % 3]
+
+        def draw(r, c):
+            data = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)
+            ]
+            return data, IntMatrix(data) if r else IntMatrix.zeros(0, c)
+
+        left, a = draw(rows, inner)
+        right, b = draw(inner, cols)
+        product = a @ b
+        assert product.shape == (rows, cols)
+        assert product.data == _product_by_loops(left, right, cols)
+        if cols != rows:
+            with pytest.raises(ShapeMismatchError):
+                b @ a
 
 
 def test_snf_trivial_cases():
@@ -79,6 +123,34 @@ def test_snf_worked_example():
     snf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]), transforms=True)
     assert snf.d == IntMatrix([[2, 0], [0, 4]])
     assert snf.u @ IntMatrix([[2, 4], [6, 8]]) @ snf.v == snf.d
+
+
+@pytest.mark.parametrize("forgery", ["zero-transform", "dropped-factor"])
+def test_smith_check_rejects_forged_forms(monkeypatch, forgery):
+    # both forgeries pass chain, diagonal and u @ m @ v == d; only a
+    # certificate that u is unimodular can tell them from the true form
+    def forged(matrix, transforms=False):
+        true = smith_normal_form(matrix, transforms)
+        rows, cols = matrix.shape
+        if forgery == "zero-transform":
+            return dataclasses.replace(
+                true,
+                d=IntMatrix.zeros(rows, cols),
+                u=IntMatrix.zeros(rows, rows),
+                v=IntMatrix.identity(cols),
+                v_inv=IntMatrix.identity(cols),
+            )
+        last = max((i for i, e in enumerate(true.d.diagonal()) if e), default=None)
+        d, u = IntMatrix(true.d.data), IntMatrix(true.u.data)
+        if last is not None:
+            d.data[last][last] = 0
+            u.data[last] = [0] * rows
+        return dataclasses.replace(true, d=d, u=u)
+
+    monkeypatch.setattr(checks, "smith_normal_form", forged)
+    result = checks.check_smith_random(random.Random(2024))
+    assert result.checks == 500
+    assert not result.passed
 
 
 def test_invariant_factors():
