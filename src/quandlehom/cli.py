@@ -8,6 +8,8 @@ reports can be diffed and re-parsed byte-identically.
 e_[a] + e_[b] - e_[a+b] - e_0, [x] = x mod m, and ``orbits`` lists the
 cosets r + mZ/n without building the table; ``verify`` checks both.
 
+``main`` builds its argument parser once per process, on the first call.
+
 Exit codes: 0 success, 1 verification failure, 2 malformed flags,
 3 domain errors (modulus below 1 as ``BadModulus``, non-unit twist,
 invalid table or a table file that is not UTF-8 as ``TableFormat``,
@@ -23,6 +25,7 @@ U+3000) are refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -155,6 +158,7 @@ def _report(args, result=None, status="ok", error=None):
     return report
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quandlehom",

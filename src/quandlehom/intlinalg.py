@@ -320,6 +320,8 @@ def invariant_factors(matrix):
                 del rows[r]
         for c in prow:
             cols[c].discard(i)
+    if not rows:
+        return [1] * units
 
     core_cols = sorted(j for j, owners in cols.items() if owners)
     core = IntMatrix._adopt(

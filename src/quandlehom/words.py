@@ -52,7 +52,8 @@ class Word:
 
     Colors lie in 0..n-1 and exponents are nonzero; adjacent letters of the
     same color are legal but not merged automatically.  The empty tuple is
-    the group identity.
+    the group identity.  ``Word(...)`` checks letters from outside; words
+    the package builds (parsed, canonical, traced) are adopted unchecked.
     """
 
     params: LinearAlexanderParams
@@ -68,13 +69,21 @@ class Word:
                 raise WordSyntaxError("letter exponents must be nonzero")
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _adopt(cls, params, letters):
+        """Unchecked: ``letters`` is a package-built tuple of valid int pairs."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "params", params)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __mul__(self, other):
         if self.params != other.params:
             raise ValueError("words from different quandles")
-        return Word(self.params, self.letters + other.letters)
+        return Word._adopt(self.params, self.letters + other.letters)
 
     def inverse(self):
-        return Word(
+        return Word._adopt(
             self.params, tuple((c, -e) for c, e in reversed(self.letters))
         )
 
@@ -102,7 +111,7 @@ def parse_word(text, params):
         if exp == 0:
             raise WordSyntaxError(f"zero exponent in {token!r}")
         letters.append((color, exp))
-    return Word(params, tuple(letters))
+    return Word._adopt(params, tuple(letters))
 
 
 def format_word(word):
@@ -245,7 +254,7 @@ def canonical_word(packed):
         if head:
             letters.append((0, head))
         letters.append((d, 1))
-    return Word(params, tuple(letters))
+    return Word._adopt(params, tuple(letters))
 
 
 def act(x, word):
@@ -358,7 +367,7 @@ def rewrite_trace(word):
         central = [(r, prefix[r]) for r in sorted(prefix) if prefix[r]]
         letters = merge_letters(central + body)
         if letters != (steps[-1].word.letters if steps else merge_letters(word.letters)):
-            steps.append(RewriteStep(rule, Word(params, letters), note))
+            steps.append(RewriteStep(rule, Word._adopt(params, letters), note))
 
     # 1. block braids; blocks[r] holds the orbit-r letters of the sorted
     #    suffix right to left, with its degree and weight
@@ -468,7 +477,7 @@ def rewrite_trace(word):
                 del body[slot]
         snapshot("central-power", body, f"cancel {_token(r, cr)} into its block")
 
-    final = Word(params, merge_letters(body))
+    final = Word._adopt(params, merge_letters(body))
     if final.letters != target.letters:
         raise AssertionError(
             f"rewriting produced {final} but the canonical word is {target}"

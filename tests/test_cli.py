@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import quandlehom
-from quandlehom import homology
+from quandlehom import cli, homology
 from quandlehom.cli import main
 from quandlehom.intlinalg import IntMatrix
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
@@ -212,6 +212,32 @@ def test_bad_flags_exit_two(capsys):
     assert main(["nonsense"]) == 2
     assert main(["h2", "--n", "5", "--t", "2", "--method", "guess"]) == 2
     capsys.readouterr()
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    # the help text wraps to the terminal width, so pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(pathlib.Path(quandlehom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    h2 = ["h2", "--n", "12", "--t", "5", "--method", "eisermann"]
+    calls = [
+        h2,
+        ["h2", "--n", "12"],  # --t missing: usage on stderr, exit 2
+        ["--help"],
+        ["normal-form", "--n", "9", "--t", "4", "--word", "e5^-1 e0 e7 e3^-2", "--trace"],
+        h2,
+    ]
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quandlehom.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def test_json_roundtrips_byte_identical(capsys):

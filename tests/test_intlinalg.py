@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quandlehom import checks
+from quandlehom import checks, intlinalg
 from quandlehom.errors import (
     NotAComplexError,
     NotAUnitError,
@@ -157,6 +157,25 @@ def test_invariant_factors():
     assert invariant_factors(IntMatrix([[2, 4], [6, 8]])) == [2, 4]
     assert invariant_factors(IntMatrix.zeros(3, 3)) == []
     assert invariant_factors(IntMatrix.zeros(0, 4)) == []
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        IntMatrix([[0, 1, 0, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 1, 0]]),
+        IntMatrix([[1, 2], [3, 7]]),  # unimodular: the elimination empties it
+        IntMatrix.zeros(0, 4),
+        IntMatrix.zeros(4, 0),
+    ],
+)
+def test_invariant_factors_without_a_core(matrix, monkeypatch):
+    expected = [e for e in smith_normal_form(matrix).d.diagonal() if e]
+
+    def no_core(core, transforms=False):
+        raise AssertionError(f"handed a {core.rows}x{core.cols} core")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", no_core)
+    assert invariant_factors(matrix) == expected
 
 
 def _determinant(rows):

@@ -80,11 +80,31 @@ def random_word(params, rng, max_len=10):
 
 
 def test_word_validation():
+    for letters in (((4, 1),), ((-1, 1),), ((1, 0),), ((0, 0),)):
+        with pytest.raises(WordSyntaxError):
+            Word(P43, letters)
     with pytest.raises(WordSyntaxError):
-        Word(P43, ((4, 1),))
-    with pytest.raises(WordSyntaxError):
-        Word(P43, ((1, 0),))
+        generator(P43, 0, 0)
     assert Word(P43).letters == ()
+
+
+def test_adopted_words_pass_the_checks():
+    # words the package builds skip the checks, so each must be one that
+    # the checked constructor accepts as it is
+    rng = random.Random(13)
+    for params in (P43, P94, LinearAlexanderParams(12, 5), LinearAlexanderParams(8, 5)):
+        for _ in range(40):
+            letters = [
+                (rng.randrange(params.n), rng.choice((1, -1, 2, -3, 5)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            word = parse_word(format_word(Word(params, letters)), params)
+            final, steps = rewrite_trace(word)
+            adopted = [word, final, word.inverse(), word * final]
+            adopted += [canonical_word(word_eval(word))] + [step.word for step in steps]
+            for w in adopted:
+                assert Word(params, w.letters) == w
+                assert all(type(c) is int and type(e) is int for c, e in w.letters)
 
 
 def test_word_eval_examples():
