@@ -10,10 +10,10 @@ same laws again by hand.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import add
 
 from .cocycle import extension_cocycle, kernel_lattice_basis
 from .errors import EmptyRangeError, NegativeCountError, NotAComplexError
@@ -78,7 +78,7 @@ def unit_pairs(n_max):
 
 def _random_word(params, rng, max_len):
     length = rng.randint(0, max_len)
-    return Word(
+    return Word._adopt(
         params,
         tuple((rng.randrange(params.n), rng.choice((1, -1))) for _ in range(length)),
     )
@@ -212,27 +212,44 @@ def check_word_laws(params, rng, samples=200):
 def check_weight_action_exhaustive(params):
     """Weight law on every factorization and action on every word of length <= 4.
 
-    Words are walked shortest first, so every prefix and suffix of a word
-    has already been evaluated once; the cuts read those values back.
+    Words are walked shortest first, each level grown from the one below
+    by one letter, so every prefix and suffix of a word has already been
+    evaluated once: the cuts read its (weight, t^degree) back, and the
+    reference images of the letter walk are one letter step from the
+    prefix's images.
     """
     result = CheckResult(
         "weight-action-exhaustive",
         {"n": params.n, "t": params.t, "max_len": WEIGHT_ACTION_MAX_LEN},
     )
     n, t = params.n, params.t
-    alphabet = [(c, e) for c in range(n) for e in (1, -1)]
+    # one _letter_walk step per letter: y -> t^e y + (1 - t^e) c
+    steps = []
+    for c in range(n):
+        for e in (1, -1):
+            te = pow(t, e, n)
+            steps.append(((c, e), te, (1 - te) * c))
     values = {}
+    level = [((), list(range(n)))]  # (letters, images), in lexicographic order
     for length in range(WEIGHT_ACTION_MAX_LEN + 1):
-        for letters in itertools.product(alphabet, repeat=length):
-            w = Word(params, letters)
-            pw = values[letters] = word_eval(w)
+        if length:
+            level = [
+                (letters + (letter,), [(te * y + shift) % n for y in images])
+                for letters, images in level
+                for letter, te, shift in steps
+            ]
+        for letters, images in level:
+            w = Word._adopt(params, letters)
+            pw = word_eval(w)
+            values[letters] = pw.a, pow(t, pw.degree, n)
             for cut in range(length + 1):
-                p1, p2 = values[letters[:cut]], values[letters[cut:]]
+                a1, _ = values[letters[:cut]]
+                a2, t2 = values[letters[cut:]]
                 result.expect(
-                    pw.a == (pow(t, p2.degree, n) * p1.a + p2.a) % n,
+                    pw.a == (t2 * a1 + a2) % n,
                     lambda w=w, cut=cut: f"weight law fails on {w} cut at {cut}",
                 )
-            for x, y in enumerate(_letter_walk(params, letters)):
+            for x, y in enumerate(images):
                 result.expect(
                     act(x, w) == y, lambda w=w, x=x: f"action formula fails on {x}, {w}"
                 )
@@ -514,23 +531,22 @@ def check_cocycle_identities(params):
     degrees = range(-COCYCLE_DEGREE_SPAN, COCYCLE_DEGREE_SPAN + 1)
     zero = (0,) * params_m
 
-    # group 2-cocycle identity
+    # group 2-cocycle identity, as bc + a_bc == ab_c + ab entrywise
     for k in degrees:
         for mm in degrees:
+            t_mm = pow(t, mm, n)
             for p in degrees:
+                t_p = pow(t, p, n)
                 for a in range(n):
                     for b in range(n):
+                        ab = phi(k, a, mm, b)
+                        ab_weight = (t_mm * a + b) % n
                         for c in range(n):
                             bc = phi(mm, b, p, c)
-                            ab_c = phi(k + mm, (pow(t, mm, n) * a + b) % n, p, c)
-                            a_bc = phi(k, a, mm + p, (pow(t, p, n) * b + c) % n)
-                            ab = phi(k, a, mm, b)
-                            ok = all(
-                                bc[i] - ab_c[i] + a_bc[i] - ab[i] == 0
-                                for i in range(params_m)
-                            )
+                            ab_c = phi(k + mm, ab_weight, p, c)
+                            a_bc = phi(k, a, mm + p, (t_p * b + c) % n)
                             result.expect(
-                                ok,
+                                list(map(add, bc, a_bc)) == list(map(add, ab_c, ab)),
                                 lambda k=k, a=a, mm=mm, b=b, p=p, c=c: (
                                     f"cocycle identity fails at ({k},{a}),({mm},{b}),({p},{c})"
                                 ),
@@ -574,7 +590,7 @@ def check_cocycle_identities(params):
                     tk = pow(t, -k, n)
                     tb = pow(t, 1 - mm, n) * b
                     closed = word_eval(
-                        Word(
+                        Word._adopt(
                             params,
                             (
                                 (0, -1),

@@ -26,7 +26,7 @@ def extension_cocycle(params, alpha, beta):
     v[b % m] += 1
     v[(a + b) % m] -= 1
     v[0] -= 1
-    return PackedElement(params, v, 0)
+    return PackedElement._adopt(params, tuple(v), 0)
 
 
 def degree_zero_cocycle(params, a, b):
@@ -61,4 +61,4 @@ def kernel_lattice_basis(params):
         [int(j == r) for j in range(m - 2)] + [r + 1, -(r + 2)] for r in range(m - 2)
     ]
     rows.append([0] * (m - 2) + [m, -m])
-    return [PackedElement(params, row, 0) for row in rows]
+    return [PackedElement._adopt(params, tuple(row), 0) for row in rows]

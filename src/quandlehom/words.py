@@ -46,6 +46,12 @@ def geometric_sum(t, k, n):
     return (pow(t, k, n * (t - 1)) - 1) // (t - 1) % n
 
 
+def _require_ints(what, values):
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"{what} entries must be int, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Product of signed generators, stored run-length as (color, exponent).
@@ -61,8 +67,9 @@ class Word:
 
     def __post_init__(self):
         n = self.params.n
-        letters = tuple((int(c), int(e)) for c, e in self.letters)
+        letters = tuple((c, e) for c, e in self.letters)
         for c, e in letters:
+            _require_ints("letter", (c, e))
             if not 0 <= c < n:
                 raise WordSyntaxError(f"color {c} outside 0..{n - 1}")
             if e == 0:
@@ -73,8 +80,10 @@ class Word:
     def _adopt(cls, params, letters):
         """Unchecked: ``letters`` is a package-built tuple of valid int pairs."""
         word = object.__new__(cls)
-        object.__setattr__(word, "params", params)
-        object.__setattr__(word, "letters", letters)
+        # frozen blocks setattr, not the instance dict
+        fields = word.__dict__
+        fields["params"] = params
+        fields["letters"] = letters
         return word
 
     def __mul__(self, other):
@@ -126,7 +135,9 @@ class PackedElement:
 
     The product rule is (v, a)(w, b) = (v + w, t^|w| a + b) with |w| the sum
     of the entries of w; this matches concatenation of words, and the pair
-    determines the group element completely.
+    determines the group element completely.  ``PackedElement(...)`` checks
+    values from outside; elements the package builds (evaluated words,
+    products, inverses, cocycle values) are adopted unchecked.
     """
 
     params: LinearAlexanderParams
@@ -135,11 +146,23 @@ class PackedElement:
 
     def __post_init__(self):
         m = self.params.num_orbits
-        v = tuple(map(int, self.v))
+        v = tuple(self.v)
+        _require_ints("vector", v)
+        _require_ints("weight", (self.a,))
         if len(v) != m:
             raise LengthMismatchError(f"vector has {len(v)} entries, expected {m}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "a", self.a % self.params.n)
+
+    @classmethod
+    def _adopt(cls, params, v, a):
+        """Unchecked: ``v`` is a package-built tuple of m ints, 0 <= a < n."""
+        packed = object.__new__(cls)
+        fields = packed.__dict__
+        fields["params"] = params
+        fields["v"] = v
+        fields["a"] = a
+        return packed
 
     @property
     def degree(self):
@@ -147,13 +170,13 @@ class PackedElement:
 
     @classmethod
     def identity(cls, params):
-        return cls(params, (0,) * params.num_orbits, 0)
+        return cls._adopt(params, (0,) * params.num_orbits, 0)
 
     def __mul__(self, other):
         if self.params != other.params:
             raise ValueError("elements from different quandles")
         n, t = self.params.n, self.params.t
-        return PackedElement(
+        return PackedElement._adopt(
             self.params,
             tuple(x + y for x, y in zip(self.v, other.v)),
             (pow(t, other.degree, n) * self.a + other.a) % n,
@@ -161,7 +184,7 @@ class PackedElement:
 
     def inverse(self):
         n, t = self.params.n, self.params.t
-        return PackedElement(
+        return PackedElement._adopt(
             self.params,
             tuple(-x for x in self.v),
             -pow(t, -self.degree, n) * self.a % n,
@@ -197,7 +220,7 @@ def word_eval(word):
             if c is None:
                 c = consts[exp] = (pow(t, exp, n), geometric_sum(t, exp, n))
             a = (c[0] * a + c[1] * color) % n
-    return PackedElement(params, tuple(v), a)
+    return PackedElement._adopt(params, tuple(v), a)
 
 
 def degree_weight(word):

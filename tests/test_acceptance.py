@@ -145,6 +145,11 @@ def test_c07_weight_and_action_exhaustive():
         total += result.checks
         if not result.passed:
             failures.append((params.n, params.t, result.failures[:2]))
+        # every word of length L <= 4 over 2n letters: L + 1 cuts, n images
+        n = params.n
+        expected = sum((2 * n) ** length * (length + 1 + n) for length in range(5))
+        if result.checks != expected:
+            failures.append((n, params.t, f"{result.checks} checks, expected {expected}"))
     _criterion(
         7,
         f"weight law and action formula exhaustive, words of length <= 4, "

@@ -10,6 +10,7 @@ from quandlehom.checks import (
     trace_violation,
     unit_pairs,
 )
+from quandlehom.cocycle import extension_cocycle, kernel_lattice_basis
 from quandlehom.errors import (
     LengthMismatchError,
     NotInImageError,
@@ -85,7 +86,30 @@ def test_word_validation():
             Word(P43, letters)
     with pytest.raises(WordSyntaxError):
         generator(P43, 0, 0)
+    # entries must be ints as they are: no truncated floats, parsed strings or bools
+    for letters in (((1.7, 1),), ((1, 1.0),), (("1", 1),), ((True, 1),), ((1, True),)):
+        with pytest.raises(TypeError):
+            Word(P43, letters)
     assert Word(P43).letters == ()
+    assert Word(P43, [[3, -2], (0, 1)]).letters == ((3, -2), (0, 1))
+
+
+def test_packed_element_validation():
+    with pytest.raises(LengthMismatchError):
+        PackedElement(P43, (1,), 0)
+    for v, a in (
+        ((1.5, 2), 0),
+        (("1", 2), 0),
+        ((True, 0), 0),
+        ((1, 2), 2.5),
+        ((1, 2), "2"),
+        ((1, 2), False),
+        ((1.5, "2"), 2.5),
+    ):
+        with pytest.raises(TypeError):
+            PackedElement(P43, v, a)
+    packed = PackedElement(P43, [1, -2], -1)
+    assert packed.v == (1, -2) and packed.a == 3
 
 
 def test_adopted_words_pass_the_checks():
@@ -105,6 +129,37 @@ def test_adopted_words_pass_the_checks():
             for w in adopted:
                 assert Word(params, w.letters) == w
                 assert all(type(c) is int and type(e) is int for c, e in w.letters)
+
+
+def test_adopted_packed_elements_pass_the_checks():
+    # elements the package builds skip the checks, so each must be one that
+    # the checked constructor accepts as it is; the pairs are those of the
+    # rewrite-trace benchmark corpus, with m = 4, 3, 4, 2, 1, 1, 2, 3
+    rng = random.Random(29)
+    for n, t in ((8, 5), (9, 4), (12, 5), (10, 3), (7, 3), (9, 2), (6, 5), (15, 4)):
+        params = LinearAlexanderParams(n, t)
+        adopted = [PackedElement.identity(params)] + kernel_lattice_basis(params)
+        for _ in range(30):
+            w1, w2 = (
+                Word(
+                    params,
+                    [
+                        (rng.randrange(n), rng.choice((1, -1, 2, -3, 5)))
+                        for _ in range(rng.randint(0, 12))
+                    ],
+                )
+                for _ in range(2)
+            )
+            p, q = word_eval(w1), word_eval(w2)
+            alpha = (rng.randint(-3, 3), rng.randrange(n))
+            beta = (rng.randint(-3, 3), rng.randrange(n))
+            adopted += [p, q, p * q, p.inverse(), q.inverse() * p]
+            adopted.append(extension_cocycle(params, alpha, beta))
+        for packed in adopted:
+            assert PackedElement(params, packed.v, packed.a) == packed
+            assert type(packed.v) is tuple and len(packed.v) == params.num_orbits
+            assert all(type(x) is int for x in packed.v) and type(packed.a) is int
+            assert 0 <= packed.a < n
 
 
 def test_word_eval_examples():
