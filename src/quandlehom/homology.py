@@ -46,7 +46,6 @@ def boundary_matrices(quandle):
     n = quandle.n
     table = quandle.table
     basis2 = tuple((x, y) for x in range(n) for y in range(n) if x != y)
-    index2 = {pair: i for i, pair in enumerate(basis2)}
     basis3 = tuple(
         (x, y, z)
         for x in range(n)
@@ -61,16 +60,20 @@ def boundary_matrices(quandle):
         d2[x][j] += 1
         d2[table[x][y]][j] -= 1
 
+    # (a, b) with a != b sits at a*(n-1) + b - (b > a) in basis2; the
+    # term (x, y) is never degenerate, since basis3 has x != y
+    n1 = n - 1
     d3 = [[0] * len(basis3) for _ in range(len(basis2))]
     for j, (x, y, z) in enumerate(basis3):
-        for coeff, pair in (
-            (1, (x, z)),
-            (-1, (table[x][y], z)),
-            (-1, (x, y)),
-            (1, (table[x][z], table[y][z])),
-        ):
-            if pair[0] != pair[1]:
-                d3[index2[pair]][j] += coeff
+        row_x = table[x]
+        xy, xz, yz = row_x[y], row_x[z], table[y][z]  # x<|y, x<|z, y<|z
+        if x != z:
+            d3[x * n1 + z - (z > x)][j] += 1
+        if xy != z:
+            d3[xy * n1 + z - (z > xy)][j] -= 1
+        d3[x * n1 + y - (y > x)][j] -= 1
+        if xz != yz:
+            d3[xz * n1 + yz - (yz > xz)][j] += 1
 
     return BoundaryPair(
         IntMatrix._adopt(d2, len(basis2)),
@@ -85,11 +88,13 @@ def h2_chain_complex(quandle):
     """Second quandle homology straight from the chain complex.
 
     Exact; it serves as the oracle for the two closed routes.  d3 has
-    n(n-1)^2 columns but at most 4 nonzeros in each, and
-    ``homology_invariants`` works in those nonzeros, from the check
-    d2 @ d3 == 0 to both factorizations, so the homology step grows with
-    the nonzeros of d3; building the dense d3 still touches all of its
-    roughly n^5 entries, but the pair is adopted as built, never copied.
+    n(n-1)^2 columns but at most 4 nonzeros in each.
+    ``homology_invariants`` reads each matrix's nonzeros once, into sparse
+    rows, and works only in those: the check d2 @ d3 == 0 forms no dense
+    product, and both factorizations eliminate unit pivots from rows kept
+    in length buckets.  Building the dense d3 and that one reading still
+    touch all of its roughly n^5 entries; the pair is adopted as built,
+    never copied.
     """
     pair = boundary_matrices(quandle)
     return homology_invariants(pair.d2, pair.d3)

@@ -10,6 +10,10 @@ generated abelian groups presented as Ker/Im of a pair of boundary maps;
 package builds are adopted as they are.  ``@`` is the one product and forms
 only the terms where both factors are nonzero.  The Smith transforms ride
 in the working matrix, so every elimination step updates them in passing.
+``homology_invariants`` turns each matrix of a chain pair into sparse rows
+once: the check d_low @ d_high == 0 sums products of those nonzeros with no
+dense product, and the same rows go to the unit-pivot elimination, which
+keeps them in buckets by length instead of sorting them at every pivot.
 """
 
 from __future__ import annotations
@@ -265,61 +269,78 @@ def smith_normal_form(matrix, transforms=False):
 
 def _sparse_rows(matrix):
     """Rows of ``matrix`` as {column: entry} dicts holding the nonzeros only."""
-    columns = range(matrix.cols)
+    # a list hands out the ints it holds; a range would make each one anew
+    columns = list(range(matrix.cols))
     return [{j: row[j] for j in compress(columns, row)} for row in matrix.data]
 
 
-def _unit_pivot(rows, cols):
+def _unit_pivot(rows, cols, buckets):
     """A pivot (i, j) with rows[i][j] == +-1 and few fill-ins, or None.
 
     Eliminating (i, j) writes at most (len(row i) - 1) * (len(col j) - 1)
     new entries (the Markowitz count).  The search is restricted to the
     shortest row that holds a unit, where it takes the unit with the
-    shortest column.
+    shortest column.  ``buckets`` maps a length to the rows of that length
+    that may hold a unit; a row found without one leaves its bucket until
+    an update touches it, and the pivot row leaves for good.
     """
-    for i in sorted(rows, key=lambda r: len(rows[r])):
-        units = [j for j, e in rows[i].items() if e in (1, -1)]
-        if units:
-            return i, min(units, key=lambda j: len(cols[j]))
+    for length in sorted(buckets):
+        bucket = buckets[length]
+        while bucket:
+            i = bucket.pop()
+            best = None
+            for j, e in rows[i].items():
+                if (e == 1 or e == -1) and (best is None or len(cols[j]) < best_len):
+                    best, best_len = j, len(cols[j])
+            if best is not None:
+                return i, best
+        del buckets[length]
     return None
 
 
-def invariant_factors(matrix):
-    """Nonzero Smith diagonal entries of ``matrix``, in divisibility order.
-
-    Unit pivots are eliminated first on sparse rows, in Markowitz order:
-    each contributes an invariant factor 1 and leaves the Schur complement,
-    which has the remaining factors.  Only the core left when no entry is
-    +-1 goes to the dense ``smith_normal_form``.
-    """
-    rows = {i: row for i, row in enumerate(_sparse_rows(matrix)) if row}
+def _sparse_invariant_factors(sparse):
+    """``invariant_factors`` of the matrix whose nonzeros are the row dicts
+    ``sparse``, which the elimination updates in place."""
+    rows = {i: row for i, row in enumerate(sparse) if row}
     cols = {}
+    buckets = {}
     for i, row in rows.items():
+        buckets.setdefault(len(row), set()).add(i)
         for j in row:
             cols.setdefault(j, set()).add(i)
     units = 0
-    while (pivot := _unit_pivot(rows, cols)) is not None:
+    while (pivot := _unit_pivot(rows, cols, buckets)) is not None:
         i, j = pivot
         units += 1
         prow = rows.pop(i)
-        p = prow[j]
-        # row_r -= (row_r[j] / p) * prow, and 1/p == p for a unit
-        for r in cols[j] - {i}:
-            row = rows[r]
-            f = row[j] * p
-            for c, e in prow.items():
-                v = row.get(c, 0) - f * e
-                if v:
-                    if c not in row:
-                        cols[c].add(r)
-                    row[c] = v
-                else:
-                    del row[c]
-                    cols[c].discard(r)
-            if not row:
-                del rows[r]
+        p = prow.pop(j)
         for c in prow:
             cols[c].discard(i)
+        touched = cols.pop(j)
+        touched.discard(i)
+        # row_r -= (row_r[j] / p) * prow, and 1/p == p for a unit; the
+        # entry in column j cancels exactly, so it is dropped up front
+        for r in touched:
+            row = rows[r]
+            bucket = buckets.get(len(row))
+            if bucket is not None:
+                bucket.discard(r)
+            f = row.pop(j) * p
+            for c, e in prow.items():
+                if c in row:
+                    v = row[c] - f * e
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+                else:
+                    row[c] = -f * e
+                    cols[c].add(r)
+            if row:
+                buckets.setdefault(len(row), set()).add(r)
+            else:
+                del rows[r]
     if not rows:
         return [1] * units
 
@@ -329,6 +350,18 @@ def invariant_factors(matrix):
         len(core_cols),
     )
     return [1] * units + [e for e in smith_normal_form(core).d.diagonal() if e]
+
+
+def invariant_factors(matrix):
+    """Nonzero Smith diagonal entries of ``matrix``, in divisibility order.
+
+    The matrix is turned into sparse rows once.  Unit pivots are then
+    eliminated on them, in Markowitz order with the rows kept in buckets
+    by length: each pivot contributes an invariant factor 1 and leaves the
+    Schur complement, which has the remaining factors.  Only the core left
+    when no entry is +-1 goes to the dense ``smith_normal_form``.
+    """
+    return _sparse_invariant_factors(_sparse_rows(matrix))
 
 
 def homology_invariants(d_low, d_high):
@@ -342,13 +375,24 @@ def homology_invariants(d_low, d_high):
         H = Z^(cols(d_low) - rank(d_low) - rank(d_high)) + torsion,
 
     where the torsion is the invariant factors >= 2 of d_high.  No basis
-    of the kernel is ever formed.  The check d_low @ d_high == 0 and both
-    factorizations work in the nonzeros of the pair, not in its size.
+    of the kernel is ever formed.  Each matrix is turned into sparse rows
+    once; the check d_low @ d_high == 0 sums products of their nonzeros
+    row by row, with no dense product, and the same rows then go to both
+    factorizations.
     """
-    if any(map(any, (d_low @ d_high).data)):
-        raise NotAComplexError("d_low @ d_high is nonzero")
-    low_rank = len(invariant_factors(d_low))
-    high_factors = invariant_factors(d_high)
+    if d_low.cols != d_high.rows:
+        raise ShapeMismatchError(f"cannot multiply {d_low.shape} by {d_high.shape}")
+    low = _sparse_rows(d_low)
+    high = _sparse_rows(d_high)
+    for row in low:
+        acc = {}
+        for k, a in row.items():
+            for j, e in high[k].items():
+                acc[j] = acc.get(j, 0) + a * e
+        if any(acc.values()):
+            raise NotAComplexError("d_low @ d_high is nonzero")
+    low_rank = len(_sparse_invariant_factors(low))
+    high_factors = _sparse_invariant_factors(high)
     return AbelianInvariants(
         d_low.cols - low_rank - len(high_factors),
         tuple(f for f in high_factors if f >= 2),

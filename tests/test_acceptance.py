@@ -35,15 +35,15 @@ def _criterion(number, description, ok, detail=""):
 def test_c01_oracle_equivalence():
     failures = []
     seen = set()
-    for params in unit_pairs(12):
+    for params in unit_pairs(14):
         seen.add((params.n, params.t))
         result = check_h2_oracles(params)
         if not result.passed:
             failures.append((params.n, params.t, result.failures))
-    assert (6, 5) in seen and (8, 3) in seen and (12, 7) in seen
+    assert (6, 5) in seen and (8, 3) in seen and (12, 7) in seen and (14, 3) in seen
     _criterion(
         1,
-        "three homology routes agree for every n in 1..12 and every unit t",
+        "three homology routes agree for every n in 1..14 and every unit t",
         not failures,
         str(failures[:2]),
     )

@@ -57,6 +57,52 @@ def test_boundaries_compose_to_zero_on_corpus():
         assert product == IntMatrix.zeros(*product.shape)
 
 
+def _boundary_by_definition(quandle):
+    # independent reference: each column from the defining formula, rows
+    # found through a dict index of the non-degenerate pairs
+    n, table = quandle.n, quandle.table
+    basis2 = [(x, y) for x in range(n) for y in range(n) if x != y]
+    index2 = {pair: i for i, pair in enumerate(basis2)}
+    basis3 = [(x, y, z) for (x, y) in basis2 for z in range(n) if z != y]
+    d2 = [[0] * len(basis2) for _ in range(n)]
+    for j, (x, y) in enumerate(basis2):
+        d2[x][j] += 1
+        d2[table[x][y]][j] -= 1
+    d3 = [[0] * len(basis3) for _ in basis2]
+    for j, (x, y, z) in enumerate(basis3):
+        terms = (
+            (1, (x, z)),
+            (-1, (table[x][y], z)),
+            (-1, (x, y)),
+            (1, (table[x][z], table[y][z])),
+        )
+        for coeff, pair in terms:
+            if pair[0] != pair[1]:
+                d3[index2[pair]][j] += coeff
+    return d2, d3, tuple(basis2), tuple(basis3)
+
+
+def test_boundary_matrices_match_definition():
+    # tables from outside as well as formula-built ones: the arithmetic
+    # position of a pair in basis2 must not depend on how the table arose
+    corpus = [
+        build_conj(s3_table()),
+        build_core(cyclic_table(4)),
+        build_takasaki(7),
+        build_alexander(LinearAlexanderParams(8, 3)),
+        build_alexander(LinearAlexanderParams(9, 4)),
+    ]
+    for quandle in corpus:
+        d2, d3, basis2, basis3 = _boundary_by_definition(quandle)
+        pair = boundary_matrices(quandle)
+        assert isinstance(pair.d2, IntMatrix) and isinstance(pair.d3, IntMatrix)
+        assert pair.basis2 == basis2 and pair.basis3 == basis3
+        assert pair.d2.shape == (quandle.n, len(basis2))
+        assert pair.d3.shape == (len(basis2), len(basis3))
+        assert pair.d2.data == d2
+        assert pair.d3.data == d3
+
+
 def test_h2_trivial_quandle():
     params = LinearAlexanderParams(2, 1)
     expected = AbelianInvariants(2)
@@ -88,7 +134,7 @@ def test_h2_closed_form_values():
     expected = AbelianInvariants(20, (5, 5, 5, 5, 5))
     assert h2_closed_form(params) == expected
     assert h2_eisermann(params) == expected
-    # every unit pair past the n <= 12 the chain oracle is swept over
+    # every unit pair from n = 13 to 150: the pullback against the formula
     for n in range(13, 151):
         for t in range(n):
             if math.gcd(t, n) == 1:

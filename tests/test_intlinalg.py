@@ -225,6 +225,48 @@ def test_invariant_factors_match_determinantal_divisors(entries):
         assert invariant_factors(m) == _determinantal_factors(m), m
 
 
+def _sparse_with_factors(rng, rows, cols):
+    # a diagonal with a known divisibility chain (mostly 1s, some larger
+    # factors, then zeros), scattered by swaps and a few +-1 row and column
+    # additions: the result stays sparse and rich in unit entries
+    rank = rng.randint(min(rows, cols) // 2, min(rows, cols))
+    factors = [1] * rank
+    for i in range(rank - rng.randint(0, min(3, rank)), rank):
+        factors[i] = (factors[i - 1] if i else 1) * rng.choice((1, 2, 3))
+    data = [[0] * cols for _ in range(rows)]
+    for i, f in enumerate(factors):
+        data[i][i] = rng.choice((-1, 1)) * f
+    for _ in range(rows + cols):
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        data[a], data[b] = data[b], data[a]
+        if a != b and rng.random() < 0.4:
+            s = rng.choice((-1, 1))
+            data[a] = [x + s * y for x, y in zip(data[a], data[b])]
+        a, b = rng.randrange(cols), rng.randrange(cols)
+        s = rng.choice((-1, 1)) if a != b and rng.random() < 0.4 else 0
+        for row in data:
+            row[a], row[b] = row[b], row[a]
+            row[a] += s * row[b]
+    return IntMatrix(data), factors
+
+
+def test_invariant_factors_match_smith_on_sparse_matrices():
+    # matrices up to 24 x 60 and their transposed shapes with a known Smith
+    # form: the elimination picks among many unit pivots, fills in, moves
+    # rows between length buckets and often leaves a core with factors >= 2
+    rng = random.Random(2001)
+    with_core = 0
+    for sample in range(60):
+        rows, cols = rng.randint(1, 24), rng.randint(1, 60)
+        if sample % 2:
+            rows, cols = cols, rows
+        m, factors = _sparse_with_factors(rng, rows, cols)
+        assert [e for e in smith_normal_form(m).d.diagonal() if e] == factors
+        assert invariant_factors(m) == factors, m
+        with_core += factors[-1:] > [1]
+    assert with_core >= 20
+
+
 def test_abelian_invariants_validation():
     AbelianInvariants(2, (2, 4))
     with pytest.raises(ValueError):
@@ -258,10 +300,54 @@ def test_homology_invariants_examples():
 
 
 def test_homology_invariants_errors():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"cannot multiply \(1, 2\) by \(3, 1\)"):
         homology_invariants(IntMatrix.zeros(1, 2), IntMatrix.zeros(3, 1))
     with pytest.raises(NotAComplexError):
         homology_invariants(IntMatrix([[1, 0]]), IntMatrix([[1], [0]]))
+
+
+def _random_complex(rng):
+    # d_low = P D_low Q and d_high = Q^-1 D_high R, where D_low and D_high
+    # have disjoint diagonal supports in the middle degree, so the pair is
+    # a complex whatever the unimodular P, Q, R
+    a, b, c = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 6)
+    r1 = rng.randint(0, min(a, b))
+    r2 = rng.randint(0, min(b - r1, c))
+    d_low, d_high = IntMatrix.zeros(a, b), IntMatrix.zeros(b, c)
+    for i in range(r1):
+        d_low.data[i][i] = rng.choice([-2, -1, 1, 3])
+    for i in range(r2):
+        d_high.data[r1 + i][i] = rng.choice([-2, -1, 1, 2, 4])
+    p, _ = _random_unimodular(a, rng, ops=4)
+    q, q_inv = _random_unimodular(b, rng, ops=4)
+    r, _ = _random_unimodular(c, rng, ops=4)
+    return p @ d_low @ q, q_inv @ d_high @ r
+
+
+def test_homology_invariants_complex_check():
+    # NotAComplexError exactly when d_low @ d_high has a nonzero entry:
+    # true complexes, the same pairs with one entry of d_high bumped, and
+    # 0 x k and k x 0 factors, whose product is empty
+    rng = random.Random(15)
+    pairs = []
+    for _ in range(80):
+        d_low, d_high = _random_complex(rng)
+        bumped = IntMatrix(d_high.data)
+        bumped.data[rng.randrange(bumped.rows)][rng.randrange(bumped.cols)] += rng.choice([-1, 1, 2])
+        pairs += [(d_low, d_high), (d_low, bumped)]
+    for _ in range(20):
+        k = rng.randint(0, 3)
+        pairs.append((IntMatrix.zeros(0, k), IntMatrix([[rng.randint(-2, 2)] for _ in range(k)])))
+        pairs.append((IntMatrix([[rng.randint(-2, 2) for _ in range(k)]]), IntMatrix.zeros(k, 0)))
+    raised = 0
+    for d_low, d_high in pairs:
+        if any(map(any, (d_low @ d_high).data)):
+            with pytest.raises(NotAComplexError, match="d_low @ d_high is nonzero"):
+                homology_invariants(d_low, d_high)
+            raised += 1
+        else:
+            assert isinstance(homology_invariants(d_low, d_high), AbelianInvariants)
+    assert raised >= 30  # a bump breaks the complex about half the time
 
 
 def _random_unimodular(size, rng, ops=20):
