@@ -50,4 +50,5 @@ print()
 
 # The group acts back on the quandle through degree and weight alone.
 word = parse_word("e1 e2", params)
-print(f"action of {word}: ", [act(x, word) for x in range(params.n)])
+packed = word_eval(word)
+print(f"action of {word}: ", [act(x, packed) for x in range(params.n)])

@@ -13,7 +13,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, sub
 
 from .cocycle import extension_cocycle, kernel_lattice_basis
 from .errors import EmptyRangeError, NegativeCountError, NotAComplexError
@@ -61,9 +61,18 @@ class CheckResult:
         return not self.failures
 
     def expect(self, ok, describe):
+        if not self.check(ok):
+            self.fail(describe() if callable(describe) else describe)
+
+    def check(self, ok):
+        """Count one comparison and return whether it held; hot sweeps call
+        ``fail`` only on False, so a passing check builds no text."""
         self.checks += 1
-        if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
-            self.failures.append(describe() if callable(describe) else describe)
+        return ok
+
+    def fail(self, message):
+        if len(self.failures) < MAX_RECORDED_FAILURES:
+            self.failures.append(message)
 
 
 def unit_pairs(n_max):
@@ -157,18 +166,19 @@ def check_word_laws(params, rng, samples=200):
 
         g, pg = w1, p1
         x = rng.randrange(n)
+        gx = act(x, pg)
         lhs = word_eval(generator(params, x) * g)
-        rhs = word_eval(g * generator(params, act(x, g)))
+        rhs = word_eval(g * generator(params, gx))
         result.expect(lhs == rhs, lambda g=g, x=x: f"conjugation rule fails on e{x}, {g}")
 
         result.expect(
-            act(x, g) == _letter_walk(params, g.letters)[x],
+            gx == _letter_walk(params, g.letters)[x],
             lambda g=g, x=x: f"action formula fails on {x}, {g}",
         )
 
         # central-element characterization
         central = pow(t, pg.degree, n) == 1 % n and (1 - t) * pg.a % n == 0
-        fixes_all = all(act(z, g) == z for z in range(n))
+        fixes_all = all(act(z, pg) == z for z in range(n))
         result.expect(
             central == fixes_all,
             lambda g=g: f"centrality criterion disagrees with the action on {g}",
@@ -216,7 +226,10 @@ def check_weight_action_exhaustive(params):
     by one letter, so every prefix and suffix of a word has already been
     evaluated once: the cuts read its (weight, t^degree) back, and the
     reference images of the letter walk are one letter step from the
-    prefix's images.
+    prefix's images.  A level lists its words in lexicographic order, so
+    the word at index i is i written in base 2n, one digit per letter:
+    its prefix and suffix at a cut leaving j letters on the right sit at
+    i // (2n)^j and i % (2n)^j of their levels.
     """
     result = CheckResult(
         "weight-action-exhaustive",
@@ -229,7 +242,8 @@ def check_weight_action_exhaustive(params):
         for e in (1, -1):
             te = pow(t, e, n)
             steps.append(((c, e), te, (1 - te) * c))
-    values = {}
+    scales = [len(steps) ** j for j in range(WEIGHT_ACTION_MAX_LEN + 1)]
+    values = []  # values[length][i]: (weight, t^degree) of the i-th word
     level = [((), list(range(n)))]  # (letters, images), in lexicographic order
     for length in range(WEIGHT_ACTION_MAX_LEN + 1):
         if length:
@@ -238,21 +252,21 @@ def check_weight_action_exhaustive(params):
                 for letters, images in level
                 for letter, te, shift in steps
             ]
-        for letters, images in level:
+        row = []
+        values.append(row)
+        for i, (letters, images) in enumerate(level):
             w = Word._adopt(params, letters)
             pw = word_eval(w)
-            values[letters] = pw.a, pow(t, pw.degree, n)
+            row.append((pw.a, pow(t, pw.degree, n)))
             for cut in range(length + 1):
-                a1, _ = values[letters[:cut]]
-                a2, t2 = values[letters[cut:]]
-                result.expect(
-                    pw.a == (t2 * a1 + a2) % n,
-                    lambda w=w, cut=cut: f"weight law fails on {w} cut at {cut}",
-                )
+                right = length - cut
+                a1, _ = values[cut][i // scales[right]]
+                a2, t2 = values[right][i % scales[right]]
+                if not result.check(pw.a == (t2 * a1 + a2) % n):
+                    result.fail(f"weight law fails on {w} cut at {cut}")
             for x, y in enumerate(images):
-                result.expect(
-                    act(x, w) == y, lambda w=w, x=x: f"action formula fails on {x}, {w}"
-                )
+                if not result.check(act(x, pw) == y):
+                    result.fail(f"action formula fails on {x}, {w}")
     return result
 
 
@@ -267,19 +281,19 @@ def check_central_power(params):
     )
     for x in range(n):
         power = generator(params, x, d)
+        packed = word_eval(power)
         for y in range(n):
-            result.expect(
-                act(y, power) == y, f"e{x}^{d} does not fix {y}"
-            )
-            result.expect(
+            if not result.check(act(y, packed) == y):
+                result.fail(f"e{x}^{d} does not fix {y}")
+            if not result.check(
                 word_eval(power * generator(params, y))
-                == word_eval(generator(params, y) * power),
-                f"e{x}^{d} does not commute with e{y}",
-            )
+                == word_eval(generator(params, y) * power)
+            ):
+                result.fail(f"e{x}^{d} does not commute with e{y}")
     for smaller in range(1, d):
         witness = any(
-            act(y, generator(params, x, smaller)) != y
-            for x in range(n)
+            act(y, moved) != y
+            for moved in (word_eval(generator(params, x, smaller)) for x in range(n))
             for y in range(n)
         )
         result.expect(witness, f"e_x^{smaller} is already central for every x")
@@ -328,7 +342,7 @@ def _conjugate_splits(diff):
 def _is_braid(params, diff):
     # e_x^e B = B e_{x.B}^e has Y X^-1 = B e_{x.B}^e B^-1 e_x^-e
     return any(
-        block and c == act(a, Word(params, block))
+        block and c == act(a, word_eval(Word(params, block)))
         for c, _, a, block in _conjugate_splits(diff)
     )
 
@@ -450,11 +464,12 @@ def check_rewriting(params, rng, samples=100):
         w = _random_word(params, rng, 12)
         packed = word_eval(w)
         cw = canonical_word(packed)
+        packed_cw = word_eval(cw)
         result.expect(
-            word_eval(cw) == packed, lambda w=w: f"canonical word of {w} evaluates differently"
+            packed_cw == packed, lambda w=w: f"canonical word of {w} evaluates differently"
         )
         result.expect(
-            canonical_word(word_eval(cw)).letters == cw.letters,
+            canonical_word(packed_cw).letters == cw.letters,
             lambda w=w: f"canonical word of {w} is not a fixed point",
         )
         final, steps = rewrite_trace(w)
@@ -489,7 +504,8 @@ def _word_cocycle(params):
     def phi(alpha, beta):
         product = section_value(*alpha) * section_value(*beta)
         packed = product * section_value(product.degree, product.a).inverse()
-        assert packed.degree == 0 and packed.a == 0, "cocycle word left the kernel"
+        if packed.degree or packed.a:
+            raise AssertionError("cocycle word left the kernel")
         return packed
 
     return phi
@@ -523,10 +539,15 @@ def check_cocycle_identities(params):
     params_m = params.num_orbits
 
     word_phi = _word_cocycle(params)
-    # raw value tuples, memoized for the sweeps and freed when this returns
+
+    # raw value tuples, one table per pair of degrees:
+    # table(k, mm)[a][b] = phi((k, a), (mm, b)).v, freed when this returns
     @functools.cache
+    def table(k, mm):
+        return [[word_phi((k, a), (mm, b)).v for b in range(n)] for a in range(n)]
+
     def phi(k, a, mm, b):
-        return word_phi((k, a), (mm, b)).v
+        return table(k, mm)[a][b]
 
     degrees = range(-COCYCLE_DEGREE_SPAN, COCYCLE_DEGREE_SPAN + 1)
     zero = (0,) * params_m
@@ -537,55 +558,52 @@ def check_cocycle_identities(params):
             t_mm = pow(t, mm, n)
             for p in degrees:
                 t_p = pow(t, p, n)
+                ab_rows, bc_rows = table(k, mm), table(mm, p)
+                ab_c_rows, a_bc_rows = table(k + mm, p), table(k, mm + p)
                 for a in range(n):
+                    a_bc_row = a_bc_rows[a]
                     for b in range(n):
-                        ab = phi(k, a, mm, b)
-                        ab_weight = (t_mm * a + b) % n
+                        ab = ab_rows[a][b]
+                        bc_row = bc_rows[b]
+                        ab_c_row = ab_c_rows[(t_mm * a + b) % n]
+                        shift = t_p * b
                         for c in range(n):
-                            bc = phi(mm, b, p, c)
-                            ab_c = phi(k + mm, ab_weight, p, c)
-                            a_bc = phi(k, a, mm + p, (t_p * b + c) % n)
-                            result.expect(
-                                list(map(add, bc, a_bc)) == list(map(add, ab_c, ab)),
-                                lambda k=k, a=a, mm=mm, b=b, p=p, c=c: (
+                            bc = bc_row[c]
+                            ab_c = ab_c_row[c]
+                            a_bc = a_bc_row[(shift + c) % n]
+                            if not result.check(
+                                list(map(add, bc, a_bc)) == list(map(add, ab_c, ab))
+                            ):
+                                result.fail(
                                     f"cocycle identity fails at ({k},{a}),({mm},{b}),({p},{c})"
-                                ),
-                            )
+                                )
 
     for k in degrees:
         for mm in degrees:
             for a in range(n):
-                result.expect(
-                    phi(k, a, mm, 0) == zero, f"phi(({k},{a}),({mm},0)) != 0"
-                )
-                result.expect(
-                    phi(k, 0, mm, a) == zero, f"phi(({k},0),({mm},{a})) != 0"
-                )
+                if not result.check(phi(k, a, mm, 0) == zero):
+                    result.fail(f"phi(({k},{a}),({mm},0)) != 0")
+                if not result.check(phi(k, 0, mm, a) == zero):
+                    result.fail(f"phi(({k},0),({mm},{a})) != 0")
             for a in range(n):
                 for b in range(n):
                     value = phi(k, a, mm, b)
-                    result.expect(
-                        value == phi(k, t * a % n, mm, t * b % n),
-                        f"twist invariance fails at ({k},{a}),({mm},{b})",
-                    )
-                    result.expect(
-                        value == phi(1, a, mm, b),
-                        f"left degree reduction fails at ({k},{a}),({mm},{b})",
-                    )
-                    result.expect(
-                        value == phi(k, a, 1, pow(t, 1 - mm, n) * b % n),
-                        f"right degree reduction fails at ({k},{a}),({mm},{b})",
-                    )
-                    result.expect(
+                    if not result.check(value == phi(k, t * a % n, mm, t * b % n)):
+                        result.fail(f"twist invariance fails at ({k},{a}),({mm},{b})")
+                    if not result.check(value == phi(1, a, mm, b)):
+                        result.fail(f"left degree reduction fails at ({k},{a}),({mm},{b})")
+                    if not result.check(value == phi(k, a, 1, pow(t, 1 - mm, n) * b % n)):
+                        result.fail(f"right degree reduction fails at ({k},{a}),({mm},{b})")
+                    if not result.check(
                         value
                         == phi(
                             mm,
                             pow(t, 1 - k, n) * b % n,
                             k,
                             (pow(t, mm, n) * a + (1 - t) * b) % n,
-                        ),
-                        f"braided symmetry fails at ({k},{a}),({mm},{b})",
-                    )
+                        )
+                    ):
+                        result.fail(f"braided symmetry fails at ({k},{a}),({mm},{b})")
                     # closed four-letter form of the cocycle word
                     tk = pow(t, -k, n)
                     tb = pow(t, 1 - mm, n) * b
@@ -601,61 +619,54 @@ def check_cocycle_identities(params):
                         )
                     )
                     formula = extension_cocycle(params, (k, a), (mm, b)).v
-                    result.expect(
-                        closed.v == value == formula and closed.a == 0,
-                        f"closed cocycle form fails at ({k},{a}),({mm},{b})",
-                    )
+                    if not result.check(closed.v == value == formula and closed.a == 0):
+                        result.fail(f"closed cocycle form fails at ({k},{a}),({mm},{b})")
 
-    def lam_of(u, w):
-        return tuple(x - y for x, y in zip(phi(0, w, 0, u), phi(0, u, 0, w)))
+    # the commutator form lam(u, w) = phi((0, w), (0, u)) - phi((0, u), (0, w))
+    degree_zero = table(0, 0)
+    lam = [
+        [tuple(map(sub, degree_zero[w][u], degree_zero[u][w])) for w in range(n)]
+        for u in range(n)
+    ]
 
     # degree-zero braiding, commutator form, and the two-letter shift
     for a in range(n):
         for b in range(n):
             p0 = phi(0, a, 0, b)
-            result.expect(
-                p0 == phi(0, t * b % n, 0, (a + (1 - t) * b) % n),
-                f"degree-zero braiding fails at ({a},{b})",
-            )
-            lam = lam_of(a, b)
-            result.expect(lam == zero, f"commutator form is nonzero at ({a},{b})")
-            result.expect(
-                lam == phi(0, (1 - t) * b % n, 0, a),
-                f"commutator/cocycle link fails at ({a},{b})",
-            )
-            result.expect(
+            if not result.check(p0 == phi(0, t * b % n, 0, (a + (1 - t) * b) % n)):
+                result.fail(f"degree-zero braiding fails at ({a},{b})")
+            lam_ab = lam[a][b]
+            if not result.check(lam_ab == zero):
+                result.fail(f"commutator form is nonzero at ({a},{b})")
+            if not result.check(lam_ab == phi(0, (1 - t) * b % n, 0, a)):
+                result.fail(f"commutator/cocycle link fails at ({a},{b})")
+            if not result.check(
                 phi(0, a, 0, (1 - t) * b % n)
-                == tuple(-x for x in phi(0, (1 - t) * a % n, 0, t * b % n)),
-                f"twisted transposition identity fails at ({a},{b})",
-            )
+                == tuple(-x for x in phi(0, (1 - t) * a % n, 0, t * b % n))
+            ):
+                result.fail(f"twisted transposition identity fails at ({a},{b})")
             # factorization e_a e_b = e_0 e_{ta+b} * phi((1,a),(1,b))
             left = word_eval(generator(params, a) * generator(params, b))
             base = word_eval(generator(params, 0) * generator(params, (t * a + b) % n))
             correction = phi(1, a, 1, b)
-            result.expect(
+            if not result.check(
                 left.v == tuple(x + y for x, y in zip(base.v, correction))
-                and left.a == base.a,
-                f"factorization through e_0 fails at ({a},{b})",
-            )
+                and left.a == base.a
+            ):
+                result.fail(f"factorization through e_0 fails at ({a},{b})")
             for c in range(n):
-                pairwise = tuple(x + y for x, y in zip(lam_of(a, b), lam_of(a, c)))
-                result.expect(
-                    lam_of(a, (b + c) % n) == pairwise,
-                    f"commutator form not additive on the right at ({a},{b},{c})",
-                )
-                pairwise = tuple(x + y for x, y in zip(lam_of(a, c), lam_of(b, c)))
-                result.expect(
-                    lam_of((a + b) % n, c) == pairwise,
-                    f"commutator form not additive on the left at ({a},{b},{c})",
-                )
+                pairwise = tuple(map(add, lam_ab, lam[a][c]))
+                if not result.check(lam[a][(b + c) % n] == pairwise):
+                    result.fail(f"commutator form not additive on the right at ({a},{b},{c})")
+                pairwise = tuple(map(add, lam[a][c], lam[b][c]))
+                if not result.check(lam[(a + b) % n][c] == pairwise):
+                    result.fail(f"commutator form not additive on the left at ({a},{b},{c})")
                 shifted = word_eval(
                     generator(params, (a - (1 - t) * c) % n)
                     * generator(params, (b + (1 - t) * t * c) % n)
                 )
-                result.expect(
-                    shifted == left,
-                    f"two-letter shift relation fails at ({a},{b},{c})",
-                )
+                if not result.check(shifted == left):
+                    result.fail(f"two-letter shift relation fails at ({a},{b},{c})")
     return result
 
 

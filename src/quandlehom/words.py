@@ -280,11 +280,14 @@ def canonical_word(packed):
     return Word._adopt(params, tuple(letters))
 
 
-def act(x, word):
-    """Right action of a word on a quandle element: t^deg x + (1-t) * weight."""
-    params = word.params
+def act(x, packed):
+    """Right action of a group element on a quandle element: t^deg x + (1-t) * weight.
+
+    The element is given by its PackedElement; for a word pass ``word_eval(word)``,
+    so a caller acting on many points evaluates the word once.
+    """
+    params = packed.params
     n, t = params.n, params.t
-    packed = word_eval(word)
     return (pow(t, packed.degree, n) * x + (1 - t) * packed.a) % n
 
 
@@ -299,18 +302,26 @@ def central_power_degree(params):
 
 
 def section(params, k, a):
-    """The word e_0^(k-1) e_a, a set-theoretic section of degree_weight."""
-    a = a % params.n
-    letters = []
-    if k != 1:
-        letters.append((0, k - 1))
-    letters.append((a, 1))
-    return Word(params, tuple(letters))
+    """The word e_0^(k-1) e_a, a set-theoretic section of degree_weight.
+
+    The int degree k and weight a are checked; the word is adopted.
+    """
+    _require_ints("section", (k, a))
+    a %= params.n
+    if k == 1:
+        return Word._adopt(params, ((a, 1),))
+    return Word._adopt(params, ((0, k - 1), (a, 1)))
 
 
 def generator(params, x, exp=1):
-    """Single-letter word e_x^exp."""
-    return Word(params, ((x % params.n, exp),))
+    """Single-letter word e_x^exp.
+
+    The int color x and nonzero int exponent are checked; the word is adopted.
+    """
+    _require_ints("generator", (x, exp))
+    if exp == 0:
+        raise WordSyntaxError("letter exponents must be nonzero")
+    return Word._adopt(params, ((x % params.n, exp),))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,38 @@ def test_adopted_words_pass_the_checks():
                 assert all(type(c) is int and type(e) is int for c, e in w.letters)
 
 
+def test_generator_and_section_refuse_bad_ints():
+    # both check their own ints before adopting the word they build
+    for bad in (1.5, 2.0, "1", True, False):
+        for call in (
+            lambda: generator(P43, bad),
+            lambda: generator(P43, 1, bad),
+            lambda: section(P43, bad, 1),
+            lambda: section(P43, 1, bad),
+        ):
+            with pytest.raises(TypeError):
+                call()
+    with pytest.raises(WordSyntaxError):
+        generator(P43, 1, 0)
+
+
+def test_generator_and_section_words_pass_the_checks():
+    for params in (P43, P94, LinearAlexanderParams(1, 0)):
+        words = [
+            generator(params, x, exp)
+            for x in range(-params.n, 2 * params.n)
+            for exp in (-3, -1, 1, 2, 7)
+        ]
+        words += [
+            section(params, k, a)
+            for k in range(-3, 4)
+            for a in range(-params.n, 2 * params.n)
+        ]
+        for w in words:
+            assert Word(params, w.letters) == w
+            assert all(type(c) is int and type(e) is int for c, e in w.letters)
+
+
 def test_adopted_packed_elements_pass_the_checks():
     # elements the package builds skip the checks, so each must be one that
     # the checked constructor accepts as it is; the pairs are those of the
@@ -282,9 +314,9 @@ def test_canonical_word_roundtrip_random():
 
 
 def test_act_examples():
-    assert act(1, Word(P43)) == 1
-    assert act(1, generator(P43, 2)) == 3
-    assert act(0, parse_word("e1 e2", P43)) == 2
+    assert act(1, word_eval(Word(P43))) == 1
+    assert act(1, word_eval(generator(P43, 2))) == 3
+    assert act(0, word_eval(parse_word("e1 e2", P43))) == 2
 
 
 def test_act_matches_table_walk():
@@ -292,8 +324,9 @@ def test_act_matches_table_walk():
     for params in (P43, P94, LinearAlexanderParams(6, 5)):
         for _ in range(100):
             w = random_word(params, rng, 6)
+            packed = word_eval(w)
             for x in range(params.n):
-                assert act(x, w) == act_oracle(x, w)
+                assert act(x, packed) == act_oracle(x, w)
 
 
 def test_conjugation_rule():
@@ -302,9 +335,10 @@ def test_conjugation_rule():
     for params in (P43, P94):
         for _ in range(200):
             g = random_word(params, rng)
+            packed = word_eval(g)
             for x in range(params.n):
                 left = word_eval(generator(params, x) * g)
-                right = word_eval(g * generator(params, act(x, g)))
+                right = word_eval(g * generator(params, act(x, packed)))
                 assert left == right
 
 
