@@ -8,12 +8,14 @@ dropped would show up as a lower count or as a missed fault.
 """
 
 import itertools
+import random
 
 from quandlehom import checks
-from quandlehom.quandle import LinearAlexanderParams
+from quandlehom.quandle import LinearAlexanderParams, Violation, build_alexander
 from quandlehom.words import PackedElement, Word, word_eval
 
 P43 = LinearAlexanderParams(4, 3)
+P4_1 = LinearAlexanderParams(4, 1)  # the trivial quandle on 4 points
 LETTERS = ((1, 1), (2, -1), (3, 1))  # e1 e2^-1 e3
 
 
@@ -97,4 +99,67 @@ def test_wrong_cocycle_value_is_caught(monkeypatch):
     monkeypatch.setattr(checks, "extension_cocycle", planted)
     result = checks.check_cocycle_identities(P43)
     assert result.failures == ["closed cocycle form fails at (-1,3),(2,1)"]
+    assert result.checks == clean.checks
+
+
+def test_quandle_structure_faults_are_caught(monkeypatch):
+    # twist 3 = -1 mod 4, so the dihedral comparison runs too
+    clean = checks.check_quandle_structure(P43)
+    assert clean.passed and clean.checks == 5
+    monkeypatch.setattr(checks, "find_violation", lambda table: Violation("idempotence", (0,)))
+    # two blocks, as many as the cosets, but not the cosets themselves
+    monkeypatch.setattr(checks, "orbits", lambda quandle: [[0, 1], [2, 3]])
+    monkeypatch.setattr(checks, "build_takasaki", lambda n: build_alexander(P4_1))
+    result = checks.check_quandle_structure(P43)
+    assert result.failures == [
+        "constructor table fails axioms",
+        "orbits [[0, 1], [2, 3]] are not the cosets of 2Z/4",
+        "twist -1 table differs from the dihedral table",
+    ]
+    assert result.checks == clean.checks
+
+
+def test_word_laws_fixed_sweeps_catch_faults(monkeypatch):
+    # no random samples: the section and kernel sweeps alone, 1 + 11 * 4 + 4 checks
+    real_section = checks.section
+    clean = checks.check_word_laws(P43, random.Random(0), samples=0)
+    assert clean.passed and clean.checks == 49
+
+    def planted_section(params, k, a):
+        return real_section(params, k, 2 if (k, a) == (2, 1) else a)
+
+    monkeypatch.setattr(checks, "section", planted_section)
+    # e1 is not central: it commutes with e_z only for odd z
+    monkeypatch.setattr(checks, "canonical_word", lambda element: checks.generator(P43, 1))
+    result = checks.check_word_laws(P43, random.Random(0), samples=0)
+    assert result.failures == [
+        "degree_weight(section(2,1)) = (2, 2)",
+        "kernel word e1 fails to commute with e0",
+        "kernel word e1 fails to commute with e2",
+    ]
+    assert result.checks == clean.checks
+
+
+def test_word_laws_sample_sweep_catches_a_wrong_walk(monkeypatch):
+    # each sample compares act(x, g) with the letter walk of g right after
+    # computing it, so the walk knows which x and g the failure names
+    samples = 20
+    clean = checks.check_word_laws(P43, random.Random(5), samples)
+    assert clean.passed
+    real_act, real_walk = checks.act, checks._letter_walk
+    acted, expected = [], []
+
+    def recording_act(x, packed):
+        acted.append(x)
+        return real_act(x, packed)
+
+    def planted_walk(params, letters):
+        expected.append(f"action formula fails on {acted[-1]}, {Word(params, letters)}")
+        return [(y + 1) % params.n for y in real_walk(params, letters)]
+
+    monkeypatch.setattr(checks, "act", recording_act)
+    monkeypatch.setattr(checks, "_letter_walk", planted_walk)
+    result = checks.check_word_laws(P43, random.Random(5), samples)
+    assert len(expected) == samples
+    assert result.failures == expected[: checks.MAX_RECORDED_FAILURES]
     assert result.checks == clean.checks
