@@ -6,7 +6,6 @@ Run:  python demos/cocycle_kernel.py
 from quandlehom import (
     LinearAlexanderParams,
     cocycle_image_basis,
-    degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
 )
@@ -21,7 +20,7 @@ print()
 # (v, 0) whose v counts the letters per orbit.
 print("degree-zero cocycle table (rows a, columns b):")
 for a in range(n):
-    print("  ", [degree_zero_cocycle(params, a, b).v for b in range(n)])
+    print("  ", [extension_cocycle(params, (0, a), (0, b)).v for b in range(n)])
 print()
 
 # Normalizations: any argument with zero weight kills the value.  The
@@ -34,7 +33,7 @@ print()
 # Z/n, since the cocycle is symmetric; that collapse is what makes the
 # two-letter shift relation (and hence the normal form) work.
 print("commutator form on all pairs is zero:",
-      all(degree_zero_cocycle(params, x, y) == degree_zero_cocycle(params, y, x)
+      all(extension_cocycle(params, (0, x), (0, y)) == extension_cocycle(params, (0, y), (0, x))
           for x in range(n) for y in range(n)))
 print()
 

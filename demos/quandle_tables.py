@@ -11,7 +11,6 @@ from quandlehom import (
     build_takasaki,
     find_violation,
     format_table,
-    is_connected,
     orbits,
 )
 
@@ -19,7 +18,8 @@ from quandlehom import (
 def show(title, quandle):
     print(f"--- {title} (n = {quandle.n}) ---")
     print(format_table(quandle), end="")
-    print("orbits:", orbits(quandle), "connected:", is_connected(quandle))
+    blocks = orbits(quandle)
+    print("orbits:", blocks, "connected:", len(blocks) == 1)
     print()
 
 

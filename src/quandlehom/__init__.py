@@ -7,11 +7,13 @@ twisted weight; this package implements that normal form, the associated
 extension cocycle, and the second quandle homology by three independent
 routes that are cross-validated against each other.
 
-The product law of Z^m x| Z/n is written once, in ``PackedElement``; a
-(degree, weight) pair is a plain int tuple, its collapse to Z x| Z/n, and a
-cocycle value or kernel lattice row is a ``PackedElement`` (v, 0).
-Cocycle values come from a closed form over residues mod m; the oracle
-``cocycle_image_basis`` spans the kernel from the section words instead.
+The product law of Z^m x| Z/n is written once, in ``PackedElement``, and
+a word is folded into it by ``word_eval`` alone: the (degree, weight) pair
+of a word is ``word_eval(word).degree, word_eval(word).a``, its collapse to
+Z x| Z/n, and a cocycle value or kernel lattice row is a ``PackedElement``
+(v, 0).  Cocycle values come from a closed form over residues mod m
+(``extension_cocycle``; degree zero is the pairs (0, a), (0, b)); the
+oracle ``cocycle_image_basis`` spans the kernel from the section words.
 ``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
@@ -55,7 +57,6 @@ from .quandle import (
     build_takasaki,
     find_violation,
     format_table,
-    is_connected,
     orbits,
     parse_table,
 )
@@ -64,10 +65,8 @@ from .words import (
     RewriteStep,
     Word,
     act,
-    base_weight,
     canonical_word,
     central_power_degree,
-    degree_weight,
     format_word,
     generator,
     parse_word,
@@ -76,7 +75,6 @@ from .words import (
     word_eval,
 )
 from .cocycle import (
-    degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "Word",
     "WordSyntaxError",
     "act",
-    "base_weight",
     "boundary_matrices",
     "build_alexander",
     "build_conj",
@@ -125,8 +122,6 @@ __all__ = [
     "canonical_word",
     "central_power_degree",
     "cocycle_image_basis",
-    "degree_weight",
-    "degree_zero_cocycle",
     "extension_cocycle",
     "find_violation",
     "format_table",
@@ -138,7 +133,6 @@ __all__ = [
     "hnf_rows",
     "homology_invariants",
     "invariant_factors",
-    "is_connected",
     "kernel_lattice_basis",
     "multiplicative_order",
     "orbits",

@@ -24,7 +24,6 @@ from .quandle import (
     build_alexander,
     build_takasaki,
     find_violation,
-    is_connected,
     orbits,
 )
 from .words import (
@@ -33,7 +32,6 @@ from .words import (
     act,
     canonical_word,
     central_power_degree,
-    degree_weight,
     generator,
     merge_letters,
     rewrite_trace,
@@ -60,13 +58,9 @@ class CheckResult:
     def passed(self):
         return not self.failures
 
-    def expect(self, ok, describe):
-        if not self.check(ok):
-            self.fail(describe() if callable(describe) else describe)
-
     def check(self, ok):
-        """Count one comparison and return whether it held; hot sweeps call
-        ``fail`` only on False, so a passing check builds no text."""
+        """Count one comparison and return whether it held; callers build
+        the text for ``fail`` only on False, so a passing check builds none."""
         self.checks += 1
         return ok
 
@@ -110,20 +104,20 @@ def check_quandle_structure(params):
     result = CheckResult("quandle-structure", {"n": params.n, "t": params.t})
     n, t = params.n, params.t
     quandle = build_alexander(params)
-    result.expect(find_violation(quandle.table) is None, "constructor table fails axioms")
+    if not result.check(find_violation(quandle.table) is None):
+        result.fail("constructor table fails axioms")
     m = params.num_orbits
     blocks = orbits(quandle)
-    result.expect(len(blocks) == m, f"orbit count {len(blocks)} != gcd {m}")
+    if not result.check(len(blocks) == m):
+        result.fail(f"orbit count {len(blocks)} != gcd {m}")
     expected = [sorted(range(r, n, m)) for r in range(m)]
-    result.expect(blocks == expected, f"orbits {blocks} are not the cosets of {m}Z/{n}")
-    result.expect(
-        is_connected(quandle) == (m == 1),
-        "connectivity disagrees with gcd(n, 1-t) == 1",
-    )
+    if not result.check(blocks == expected):
+        result.fail(f"orbits {blocks} are not the cosets of {m}Z/{n}")
+    if not result.check((len(blocks) == 1) == (m == 1)):
+        result.fail("connectivity disagrees with gcd(n, 1-t) == 1")
     if t == (n - 1) % n:
-        result.expect(
-            quandle == build_takasaki(n), "twist -1 table differs from the dihedral table"
-        )
+        if not result.check(quandle == build_takasaki(n)):
+            result.fail("twist -1 table differs from the dihedral table")
     return result
 
 
@@ -132,64 +126,56 @@ def check_word_laws(params, rng, samples=200):
 
     Covers multiplicativity, the twisted weight law, injectivity of colors,
     the conjugation rule e_x g = g e_{x.g}, centrality of kernel elements,
-    the central-element characterization, surjectivity of degree_weight,
+    the central-element characterization, surjectivity of the (degree,
+    weight) map,
     and the conjugation behavior of the section.
     """
     result = CheckResult("word-laws", {"n": params.n, "t": params.t})
     n, t = params.n, params.t
 
     packed_gens = [word_eval(generator(params, x)) for x in range(n)]
-    result.expect(
-        len(set(packed_gens)) == n, "color map x -> e_x is not injective"
-    )
+    if not result.check(len(set(packed_gens)) == n):
+        result.fail("color map x -> e_x is not injective")
 
     for k in range(-5, 6):
         for a in range(n):
-            f = degree_weight(section(params, k, a))
-            result.expect(
-                f == (k, a),
-                lambda k=k, a=a, f=f: f"degree_weight(section({k},{a})) = {f}",
-            )
+            packed = word_eval(section(params, k, a))
+            f = (packed.degree, packed.a)
+            if not result.check(f == (k, a)):
+                result.fail(f"degree_weight(section({k},{a})) = {f}")
 
     for _ in range(samples):
         w1 = _random_word(params, rng, 8)
         w2 = _random_word(params, rng, 8)
         p1, p2, p12 = word_eval(w1), word_eval(w2), word_eval(w1 * w2)
-        result.expect(
-            p12 == p1 * p2,
-            lambda w1=w1, w2=w2: f"eval not multiplicative on {w1} | {w2}",
-        )
-        result.expect(
-            p12.a == (pow(t, p2.degree, n) * p1.a + p2.a) % n,
-            lambda w1=w1, w2=w2: f"weight law fails on {w1} | {w2}",
-        )
+        if not result.check(p12 == p1 * p2):
+            result.fail(f"eval not multiplicative on {w1} | {w2}")
+        if not result.check(p12.a == (pow(t, p2.degree, n) * p1.a + p2.a) % n):
+            result.fail(f"weight law fails on {w1} | {w2}")
 
         g, pg = w1, p1
         x = rng.randrange(n)
         gx = act(x, pg)
         lhs = word_eval(generator(params, x) * g)
         rhs = word_eval(g * generator(params, gx))
-        result.expect(lhs == rhs, lambda g=g, x=x: f"conjugation rule fails on e{x}, {g}")
+        if not result.check(lhs == rhs):
+            result.fail(f"conjugation rule fails on e{x}, {g}")
 
-        result.expect(
-            gx == _letter_walk(params, g.letters)[x],
-            lambda g=g, x=x: f"action formula fails on {x}, {g}",
-        )
+        if not result.check(gx == _letter_walk(params, g.letters)[x]):
+            result.fail(f"action formula fails on {x}, {g}")
 
         # central-element characterization
         central = pow(t, pg.degree, n) == 1 % n and (1 - t) * pg.a % n == 0
         fixes_all = all(act(z, pg) == z for z in range(n))
-        result.expect(
-            central == fixes_all,
-            lambda g=g: f"centrality criterion disagrees with the action on {g}",
-        )
+        if not result.check(central == fixes_all):
+            result.fail(f"centrality criterion disagrees with the action on {g}")
         if central:
             for z in range(n):
-                result.expect(
+                if not result.check(
                     word_eval(generator(params, z) * g)
-                    == word_eval(g * generator(params, z)),
-                    lambda g=g, z=z: f"central word {g} fails to commute with e{z}",
-                )
+                    == word_eval(g * generator(params, z))
+                ):
+                    result.fail(f"central word {g} fails to commute with e{z}")
 
         # section conjugation in degree 1, against the closed form
         # (k, a)^(p, c) = (k, t^p a + (1 - t^k) c) in Z x| Z/n
@@ -202,20 +188,18 @@ def check_word_laws(params, rng, samples=200):
         )
         (k, a), (p, c) = alpha, gamma
         rhs = word_eval(section(params, k, pow(t, p, n) * a + (1 - pow(t, k, n)) * c))
-        result.expect(
-            lhs == rhs,
-            lambda alpha=alpha, gamma=gamma: f"section conjugation fails on {alpha}, {gamma}",
-        )
+        if not result.check(lhs == rhs):
+            result.fail(f"section conjugation fails on {alpha}, {gamma}")
 
     # kernel elements are central: build words with zero degree and weight
     for element in kernel_lattice_basis(params):
         g = canonical_word(element)
         for z in range(n):
-            result.expect(
+            if not result.check(
                 word_eval(generator(params, z) * g)
-                == word_eval(g * generator(params, z)),
-                lambda g=g, z=z: f"kernel word {g} fails to commute with e{z}",
-            )
+                == word_eval(g * generator(params, z))
+            ):
+                result.fail(f"kernel word {g} fails to commute with e{z}")
     return result
 
 
@@ -275,10 +259,8 @@ def check_central_power(params):
     result = CheckResult("central-power", {"n": params.n, "t": params.t})
     n = params.n
     d = central_power_degree(params)
-    result.expect(
-        d == multiplicative_order(params.t, n),
-        f"central power degree {d} != order of t",
-    )
+    if not result.check(d == multiplicative_order(params.t, n)):
+        result.fail(f"central power degree {d} != order of t")
     for x in range(n):
         power = generator(params, x, d)
         packed = word_eval(power)
@@ -296,7 +278,8 @@ def check_central_power(params):
             for moved in (word_eval(generator(params, x, smaller)) for x in range(n))
             for y in range(n)
         )
-        result.expect(witness, f"e_x^{smaller} is already central for every x")
+        if not result.check(witness):
+            result.fail(f"e_x^{smaller} is already central for every x")
     return result
 
 
@@ -465,29 +448,19 @@ def check_rewriting(params, rng, samples=100):
         packed = word_eval(w)
         cw = canonical_word(packed)
         packed_cw = word_eval(cw)
-        result.expect(
-            packed_cw == packed, lambda w=w: f"canonical word of {w} evaluates differently"
-        )
-        result.expect(
-            canonical_word(packed_cw).letters == cw.letters,
-            lambda w=w: f"canonical word of {w} is not a fixed point",
-        )
+        if not result.check(packed_cw == packed):
+            result.fail(f"canonical word of {w} evaluates differently")
+        if not result.check(canonical_word(packed_cw).letters == cw.letters):
+            result.fail(f"canonical word of {w} is not a fixed point")
         final, steps = rewrite_trace(w)
-        result.expect(
-            final.letters == cw.letters and _ends_at(w, final, steps),
-            lambda w=w: f"rewriting of {w} disagrees with the canonical word",
-        )
+        if not result.check(final.letters == cw.letters and _ends_at(w, final, steps)):
+            result.fail(f"rewriting of {w} disagrees with the canonical word")
         for step, problem in _step_problems(w, steps):
-            result.expect(
-                word_eval(step.word) == packed and problem is None,
-                lambda w=w, step=step, problem=problem: (
-                    f"step {step.rule} of {w}: {problem or 'the value changed'}"
-                ),
-            )
+            if not result.check(word_eval(step.word) == packed and problem is None):
+                result.fail(f"step {step.rule} of {w}: {problem or 'the value changed'}")
         if cw.letters == w.letters:
-            result.expect(
-                steps == (), lambda w=w: f"canonical input {w} produced a nonempty trace"
-            )
+            if not result.check(steps == ()):
+                result.fail(f"canonical input {w} produced a nonempty trace")
     return result
 
 
@@ -675,10 +648,8 @@ def check_kernel_generation(params):
     result = CheckResult("kernel-generation", {"n": params.n, "t": params.t})
     spanned = [list(row.v) for row in cocycle_image_basis(params)]
     lattice = [list(row.v) for row in kernel_lattice_basis(params)]
-    result.expect(
-        spanned == lattice,
-        f"cocycle image lattice {spanned} != kernel lattice {lattice}",
-    )
+    if not result.check(spanned == lattice):
+        result.fail(f"cocycle image lattice {spanned} != kernel lattice {lattice}")
     return result
 
 
@@ -695,28 +666,22 @@ def check_h2_oracles(params):
     except NotAComplexError as exc:
         # every expectation on the chain answer fails, so the count holds
         chain, broken = None, f"chain complex route failed: {exc}"
-    result.expect(
-        formula == eisermann,
-        f"formula {formula} != pullback {eisermann}",
-    )
-    result.expect(
-        chain is not None and formula == chain,
-        lambda: broken if chain is None else f"formula {formula} != chain complex {chain}",
-    )
-    result.expect(
-        chain is not None and chain.rank == m * (m - 1),
-        lambda: broken if chain is None else f"free rank {chain.rank} != m(m-1) = {m * (m - 1)}",
-    )
-    if m == 1:
-        result.expect(
-            chain is not None
-            and chain == formula
-            and chain.rank == 0
-            and not chain.torsion,
-            lambda: broken if chain is None else "connected quandle has nontrivial homology",
+    if not result.check(formula == eisermann):
+        result.fail(f"formula {formula} != pullback {eisermann}")
+    if not result.check(chain is not None and formula == chain):
+        result.fail(broken if chain is None else f"formula {formula} != chain complex {chain}")
+    if not result.check(chain is not None and chain.rank == m * (m - 1)):
+        result.fail(
+            broken if chain is None else f"free rank {chain.rank} != m(m-1) = {m * (m - 1)}"
         )
+    if m == 1:
+        if not result.check(
+            chain is not None and chain == formula and chain.rank == 0 and not chain.torsion
+        ):
+            result.fail(broken if chain is None else "connected quandle has nontrivial homology")
     # h2_chain_complex raises NotAComplexError exactly when d2 @ d3 != 0
-    result.expect(broken is None, "d2 @ d3 != 0")
+    if not result.check(broken is None):
+        result.fail("d2 @ d3 != 0")
     return result
 
 
@@ -738,29 +703,28 @@ def check_smith_random(rng, samples=100, max_dim=12):
         )
         snf = smith_normal_form(matrix, transforms=True)
         diag = snf.d.diagonal()
-        result.expect(
-            all(e >= 0 for e in diag), lambda m=matrix: f"negative diagonal for {m}"
-        )
+        if not result.check(all(e >= 0 for e in diag)):
+            result.fail(f"negative diagonal for {matrix}")
         chain_ok = all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
-        result.expect(chain_ok, lambda m=matrix: f"divisibility chain broken for {m}")
+        if not result.check(chain_ok):
+            result.fail(f"divisibility chain broken for {matrix}")
         off_diag_zero = all(
             snf.d.data[i][j] == 0
             for i in range(rows)
             for j in range(cols)
             if i != j
         )
-        result.expect(off_diag_zero, lambda m=matrix: f"result not diagonal for {m}")
+        if not result.check(off_diag_zero):
+            result.fail(f"result not diagonal for {matrix}")
         # with v @ v_inv == I this is u @ m @ v == d, and d @ v_inv costs
         # only d's diagonal; u @ u_inv == I makes u unimodular
-        result.expect(
-            snf.u @ matrix == snf.d @ snf.v_inv,
-            lambda m=matrix: f"u @ m != d @ v_inv for {m}",
-        )
-        result.expect(
+        if not result.check(snf.u @ matrix == snf.d @ snf.v_inv):
+            result.fail(f"u @ m != d @ v_inv for {matrix}")
+        if not result.check(
             snf.v @ snf.v_inv == IntMatrix.identity(cols)
-            and snf.u @ snf.u_inv == IntMatrix.identity(rows),
-            lambda m=matrix: f"v_inv or u_inv is wrong for {m}",
-        )
+            and snf.u @ snf.u_inv == IntMatrix.identity(rows)
+        ):
+            result.fail(f"v_inv or u_inv is wrong for {matrix}")
     return result
 
 

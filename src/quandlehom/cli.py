@@ -30,7 +30,7 @@ import json
 import os
 import sys
 
-from .cocycle import degree_zero_cocycle
+from .cocycle import extension_cocycle
 from .checks import run_verification
 from .errors import QuandleAxiomError, QuandleHomError, TableFormatError
 from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
@@ -81,25 +81,27 @@ def _cmd_normal_form(args):
     params = _params(args)
     word = parse_word(args.word, params)
     packed = word_eval(word)
+    if args.trace:
+        canonical, steps = rewrite_trace(word)
+    else:
+        canonical = canonical_word(packed)
     result = {
         "packed": {"v": list(packed.v), "a": packed.a},
         "degree": packed.degree,
-        "canonical": format_word(canonical_word(packed)),
+        "canonical": format_word(canonical),
     }
     if args.trace:
-        final, steps = rewrite_trace(word)
         result["trace"] = [
             {"rule": step.rule, "word": format_word(step.word), "note": step.note}
             for step in steps
         ]
-        result["canonical"] = format_word(final)
     return _report(args, result=result), 0
 
 
 def _cmd_phi_table(args):
     params = _params(args)
     table = [
-        [list(degree_zero_cocycle(params, a, b).v) for b in range(params.n)]
+        [list(extension_cocycle(params, (0, a), (0, b)).v) for b in range(params.n)]
         for a in range(params.n)
     ]
     return _report(args, result={"m": params.num_orbits, "table": table}), 0

@@ -10,6 +10,8 @@ since the cocycle word equals e_0^-1 e_{t^-k a} e_{t^-k t^(1-l) b}
 e_{t^-k (t a + t^(1-l) b)}^-1, e_x counts in orbit [x], and m = gcd(n, 1-t)
 divides 1 - t: t == 1 mod m, so powers of t fix residues mod m.  checks.py
 keeps the word route as the oracle.  The values span the kernel lattice.
+The value depends only on the two weights, so the degree-zero table of
+``phi-table`` is ``extension_cocycle(params, (0, a), (0, b))``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ def extension_cocycle(params, alpha, beta):
     v[(a + b) % m] -= 1
     v[0] -= 1
     return PackedElement._adopt(params, tuple(v), 0)
-
-
-def degree_zero_cocycle(params, a, b):
-    """The cocycle restricted to degree zero: phi((0, a), (0, b))."""
-    return extension_cocycle(params, (0, a), (0, b))
 
 
 def kernel_lattice_basis(params):

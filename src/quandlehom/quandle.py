@@ -75,9 +75,6 @@ class FiniteQuandle:
         self.n = len(table)
         self.table = table
 
-    def op(self, a, b):
-        return self.table[a][b]
-
     def __eq__(self, other):
         return isinstance(other, FiniteQuandle) and self.table == other.table
 
@@ -231,10 +228,6 @@ def orbits(quandle):
     return blocks
 
 
-def is_connected(quandle):
-    return len(orbits(quandle)) == 1
-
-
 # ASCII decimal only: int() would also take "1_0" and non-ASCII digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # fields and lines split on ASCII whitespace only: str.split() and
@@ -243,10 +236,21 @@ ASCII_FIELD = re.compile(r"[^ \t\n\r\v\f]+")
 _LINE_BREAK = re.compile(r"\r\n?|[\n\v\f]")
 
 
+def _decimal(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        # int() refuses numerals past sys.get_int_max_str_digits()
+        raise TableFormatError(
+            f"{what} has {len(token)} characters, past the integer string limit"
+        ) from None
+
+
 def parse_table(text):
     """Parse the plain-text table format: first line n, then n rows of n entries.
 
-    Numbers are ASCII decimal integers separated by ASCII whitespace.
+    Numbers are ASCII decimal integers of at most
+    ``sys.get_int_max_str_digits()`` digits, separated by ASCII whitespace.
     Entries are checked to lie in 0..n-1 before any axiom validation.
     """
     lines = [line.strip(" \t") for line in _LINE_BREAK.split(text)]
@@ -255,7 +259,7 @@ def parse_table(text):
         raise TableFormatError("empty table file")
     if not _INTEGER.fullmatch(lines[0]):
         raise TableFormatError(f"first line must be the size, got {lines[0]!r}")
-    n = int(lines[0])
+    n = _decimal(lines[0], "the size")
     if n < 1:
         raise TableFormatError(f"size must be >= 1, got {n}")
     if len(lines) != n + 1:
@@ -269,7 +273,7 @@ def parse_table(text):
         for b, tok in enumerate(tokens):
             if not _INTEGER.fullmatch(tok):
                 raise TableFormatError(f"entry ({a},{b}) = {tok!r} is not an integer")
-            e = int(tok)
+            e = _decimal(tok, f"entry ({a},{b})")
             if not 0 <= e < n:
                 raise TableFormatError(f"entry ({a},{b}) = {e} outside 0..{n - 1}")
             row.append(e)

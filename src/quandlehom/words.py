@@ -10,8 +10,10 @@ where the weight w is the twisted sum w(e_x) = x, w(gh) = t^deg(h) w(g) + w(h).
 PackedElement stores that pair; the pair multiplies inside Z^m x| Z/n, and
 ``canonical_word`` / ``rewrite_trace`` convert back to a unique word per
 element, which is what makes the representation usable as a normal form.
-``PackedElement.__mul__`` is the one place the product law is written: the
-(degree, weight) pair of ``degree_weight`` is its collapse to Z x| Z/n.
+``PackedElement.__mul__`` is the one place the product law is written and
+``word_eval`` the one fold of a word into it: the (degree, weight) pair of
+a word is ``word_eval(word)`` collapsed to Z x| Z/n, and ``canonical_word``
+weighs its letter blocks with ``word_eval`` too.
 """
 
 from __future__ import annotations
@@ -106,15 +108,21 @@ _TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
 def parse_word(text, params):
     """Parse tokens e<color> or e<color>^<exp> separated by ASCII whitespace.
 
-    Colors and exponents are ASCII decimal integers.
+    Colors and exponents are ASCII decimal integers of at most
+    ``sys.get_int_max_str_digits()`` digits (4,300 by default).
     """
     letters = []
     for token in ASCII_FIELD.findall(text):
         match = _TOKEN.match(token)
         if match is None:
             raise WordSyntaxError(f"bad token {token!r}")
-        color = int(match.group(1))
-        exp = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            color = int(match.group(1))
+            exp = int(match.group(2)) if match.group(2) is not None else 1
+        except ValueError:
+            raise WordSyntaxError(
+                f"a numeral in a {len(token)}-character token is past the integer string limit"
+            ) from None
         if color >= params.n:
             raise WordSyntaxError(f"color {color} outside 0..{params.n - 1}")
         if exp == 0:
@@ -223,61 +231,33 @@ def word_eval(word):
     return PackedElement._adopt(params, tuple(v), a)
 
 
-def degree_weight(word):
-    """The pair (degree, weight) of a word: its PackedElement collapsed to Z x| Z/n."""
-    packed = word_eval(word)
-    return packed.degree, packed.a
-
-
-def base_weight(params, v):
-    """Weight of e_{m-1}^{v_{m-1}} ... e_1^{v_1} e_0^{v_0 - 1} e_0.
-
-    This is the polynomial sum_{r>=1} q(v_r) * t^(v_0 + ... + v_{r-1}) * r;
-    the weight of the full canonical word is this value plus the trailing
-    color.
-    """
-    m = params.num_orbits
-    if len(v) != m:
-        raise LengthMismatchError(f"vector has {len(v)} entries, expected {m}")
-    n, t = params.n, params.t
-    total = 0
-    acc = v[0]
-    for r in range(1, m):
-        total = (total + geometric_sum(t, v[r], n) * pow(t, acc, n) * r) % n
-        acc += v[r]
-    return total
-
-
 def canonical_word(packed):
     """Unique word e_{m-1}^{v_{m-1}} ... e_1^{v_1} e_0^{v_0-1} e_d for a packed pair.
 
-    The trailing color d = a - base_weight(v) must be a multiple of m (the
-    image of 1-t); otherwise the pair is not realized by any group element
-    and NotInImageError is raised.  When d == 0 the trailing letter merges
-    into the e_0 block, so the identity becomes the empty word.
+    The blocks e_{m-1}^{v_{m-1}} ... e_1^{v_1} e_0^{v_0} weigh the same as
+    the same blocks ending e_0^{v_0-1} e_0, so the trailing color is
+    d = a - (weight of the blocks).  It must be a multiple of m (the image
+    of 1-t); otherwise the pair is not realized by any group element and
+    NotInImageError is raised.  When d == 0 the trailing letter merges into
+    the e_0 block, so the identity becomes the empty word.
     """
     params = packed.params
     n, m = params.n, params.num_orbits
     v = packed.v
-    d = (packed.a - base_weight(params, v)) % n
+    blocks = [(r, v[r]) for r in range(m - 1, -1, -1) if v[r]]
+    d = (packed.a - word_eval(Word._adopt(params, tuple(blocks))).a) % n
     if d % m:
         raise NotInImageError(
             f"weight {packed.a} is not reachable from abelianization {v}"
         )
-    letters = []
-    for r in range(m - 1, 0, -1):
-        if v[r]:
-            letters.append((r, v[r]))
-    head = v[0] - 1
-    if d == 0:
-        head += 1
-        if head:
-            letters.append((0, head))
-    else:
-        if head:
-            letters.append((0, head))
-        letters.append((d, 1))
-    return Word._adopt(params, tuple(letters))
+    if d:
+        # split the trailing e_d off the e_0 block
+        if v[0]:
+            blocks.pop()
+        if v[0] != 1:
+            blocks.append((0, v[0] - 1))
+        blocks.append((d, 1))
+    return Word._adopt(params, tuple(blocks))
 
 
 def act(x, packed):
@@ -302,7 +282,7 @@ def central_power_degree(params):
 
 
 def section(params, k, a):
-    """The word e_0^(k-1) e_a, a set-theoretic section of degree_weight.
+    """The word e_0^(k-1) e_a, a set-theoretic section of the (degree, weight) map.
 
     The int degree k and weight a are checked; the word is adopted.
     """
@@ -404,7 +384,9 @@ def rewrite_trace(word):
             steps.append(RewriteStep(rule, Word._adopt(params, letters), note))
 
     # 1. block braids; blocks[r] holds the orbit-r letters of the sorted
-    #    suffix right to left, with its degree and weight
+    #    suffix right to left, with its degree and weight.  The product law
+    #    is written out inline here: going through PackedElement and act
+    #    made rewrite_trace 20-35% slower
     letters = word.letters
     blocks = [[] for _ in range(m)]
     block_deg = [0] * m

@@ -188,6 +188,29 @@ def test_word_syntax_error(capsys):
     assert report["error"]["code"] == "WordSyntax"
 
 
+def test_numerals_past_the_int_string_limit_are_refused(tmp_path, capsys):
+    # int() raises ValueError past sys.get_int_max_str_digits() (4,300 by
+    # default); each case must still end in one report and exit code 3
+    huge = "9" * 5000
+    src = str(pathlib.Path(quandlehom.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "quandlehom.cli", "normal-form", "--n", "4", "--t", "3",
+         "--word", f"e1^{huge}"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (3, "")
+    assert json.loads(child.stdout)["error"]["code"] == "WordSyntax"
+    code, report = run_cli(capsys, "normal-form", "--n", "4", "--t", "3", "--word", f"e{huge}")
+    assert code == 3 and report["error"]["code"] == "WordSyntax"
+    for name, text in (("size", f"{huge}\n0\n"), ("entry", f"2\n0 {'0' * 5000}1\n1 0\n")):
+        path = tmp_path / f"{name}.tbl"
+        path.write_text(text, encoding="utf-8")
+        code = main(["axioms", "--table", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (3, ""), name
+        assert json.loads(captured.out)["error"]["code"] == "TableFormat", name
+
+
 def test_axioms_non_utf8_table(tmp_path, capsys):
     path = tmp_path / "binary.tbl"
     path.write_bytes(b"2\n0 1\n\xff\xfe 0\n")

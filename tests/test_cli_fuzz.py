@@ -14,6 +14,8 @@ WORD_PIECES = [
     "e", "e-1", "e1^", "e1^0", "e1^-", "f1", "1", "^2", "e1_0", "e٣",
     "e1　e2", "e1\x1ce2", "e1\xa0e2", "E1", "e+1", "e1^+2", "e 1",
     " ", "\t", "\n", "",
+    # past the interpreter's 4,300-digit int-string limit
+    "e1^" + "7" * 5000, "e" + "0" * 4999 + "1",
 ]
 
 TABLE_ROWS = [
@@ -22,6 +24,7 @@ TABLE_ROWS = [
     "2\n0 a\n1 0\n", "0\n", "", "x\n0", "2\n0 1_0\n1 0\n", "٢\n0 1\n1 0\n",
     "2\n0　1\n1 0\n", "2\n0 1\x1c1 0\n", "2\r\n0 1\r\n1 0\r\n",
     "-1\n", "2\n0 -1\n1 0\n", "1\n0\n",
+    "1" * 5000 + "\n0\n", "2\n0 " + "0" * 5000 + "1\n1 0\n",
 ]
 
 NUMBERS = ["0", "1", "-1", "x", "", "1.5", "0x3", " 7", "1_0", "٣"]

@@ -2,7 +2,6 @@ import itertools
 
 from quandlehom.checks import _word_cocycle, check_cocycle_identities, unit_pairs
 from quandlehom.cocycle import (
-    degree_zero_cocycle,
     extension_cocycle,
     kernel_lattice_basis,
 )
@@ -42,12 +41,11 @@ def test_cocycle_value_example():
     # the defining word e0^-1 e1 e0^-1 e1 e2^-1 e0 counts (-2, 2) per orbit
     value = extension_cocycle(P43, (0, 1), (0, 1))
     assert value.v == (-2, 2)
-    assert degree_zero_cocycle(P43, 1, 1).v == (-2, 2)
 
 
 def test_degree_zero_twist_invariance():
     # phi0(a, b) == phi0(t a, t b); instance: (1,1) versus (3,3) at t = 3
-    assert degree_zero_cocycle(P43, 3, 3).v == (-2, 2)
+    assert extension_cocycle(P43, (0, 3), (0, 3)).v == (-2, 2)
 
 
 def test_commutator_form_vanishes():
@@ -57,10 +55,11 @@ def test_commutator_form_vanishes():
         phi = _word_cocycle(params)
         for u in range(params.n):
             for v in range(params.n):
-                assert degree_zero_cocycle(params, u, v) == degree_zero_cocycle(params, v, u)
+                value = extension_cocycle(params, (0, u), (0, v))
+                assert value == extension_cocycle(params, (0, v), (0, u))
                 assert phi((0, u), (0, v)) == phi((0, v), (0, u))
     p83 = LinearAlexanderParams(8, 3)
-    assert degree_zero_cocycle(p83, 1, 3) == degree_zero_cocycle(p83, 3, 1)
+    assert extension_cocycle(p83, (0, 1), (0, 3)) == extension_cocycle(p83, (0, 3), (0, 1))
 
 
 def test_word_oracle_matches_closed_form():

@@ -22,13 +22,12 @@ from quandlehom.words import (
     RewriteStep,
     Word,
     act,
-    base_weight,
     canonical_word,
     central_power_degree,
-    degree_weight,
     format_word,
     geometric_sum,
     generator,
+    merge_letters,
     parse_word,
     rewrite_trace,
     section,
@@ -62,9 +61,9 @@ def act_oracle(x, word):
     for c, e in word.letters:
         if e > 0:
             for _ in range(e):
-                x = quandle.op(x, c)
+                x = quandle.table[x][c]
         else:
-            column = {quandle.op(y, c): y for y in range(n)}
+            column = {quandle.table[y][c]: y for y in range(n)}
             for _ in range(-e):
                 x = column[x]
     return x
@@ -225,34 +224,34 @@ def test_generators_pairwise_distinct():
 
 
 def test_word_laws_check():
-    # among them: e_x are pairwise distinct, and degree_weight(section(k, a))
-    # is (k, a) for -5 <= k <= 5 and every weight a
+    # among them: e_x are pairwise distinct, and section(k, a) evaluates to
+    # degree k and weight a for -5 <= k <= 5 and every weight a
     rng = random.Random(11)
     for params in (P43, P94, LinearAlexanderParams(12, 7)):
         result = check_word_laws(params, rng)
         assert result.passed, result.failures
 
 
+def collapse(packed):
+    return packed.degree, packed.a
+
+
 def test_degree_weight_examples():
     for a in range(4):
-        f = degree_weight(generator(P43, a))
+        f = collapse(word_eval(generator(P43, a)))
         assert f == (1, a)
-    f = degree_weight(Word(P43))
+    f = collapse(word_eval(Word(P43)))
     assert f == (0, 0)
-    f = degree_weight(parse_word("e0 e3", P43))
+    f = collapse(word_eval(parse_word("e0 e3", P43)))
     assert f == (2, 3)
-    assert degree_weight(section(P43, 2, 3)) == f
+    assert collapse(word_eval(section(P43, 2, 3))) == f
 
 
 def test_degree_weight_section_surjective():
     for params in (P43, P94):
         for k in range(-5, 6):
             for a in range(params.n):
-                assert degree_weight(section(params, k, a)) == (k, a)
-
-
-def collapse(packed):
-    return packed.degree, packed.a
+                assert collapse(word_eval(section(params, k, a))) == (k, a)
 
 
 def test_semidirect_arithmetic():
@@ -270,14 +269,6 @@ def test_semidirect_arithmetic():
                 assert collapse(conj) == (0, pow(3, p, 4) * a % 4)
 
 
-def test_base_weight_examples():
-    assert base_weight(P94, (5, 0, 0)) == 0
-    assert base_weight(P43, (1, 1)) == 3
-    assert base_weight(P43, (-1, 1)) == 3
-    with pytest.raises(LengthMismatchError):
-        base_weight(P43, (1, 1, 1))
-
-
 def test_canonical_word_examples():
     assert canonical_word(PackedElement(P43, (1, 1), 1)).letters == ((1, 1), (2, 1))
     assert canonical_word(PackedElement(P43, (0, 0), 0)).letters == ()
@@ -285,8 +276,24 @@ def test_canonical_word_examples():
         canonical_word(PackedElement(P43, (1, 1), 0))
 
 
+def block_weight(params, v):
+    # closed form of the weight of e_{m-1}^{v_{m-1}} ... e_1^{v_1} e_0^{v_0}:
+    # sum_{r>=1} q(v_r) * t^(v_0 + ... + v_{r-1}) * r, q the geometric sum
+    n, t = params.n, params.t
+    total = 0
+    acc = v[0]
+    for r in range(1, params.num_orbits):
+        total = (total + geometric_sum(t, v[r], n) * pow(t, acc, n) * r) % n
+        acc += v[r]
+    return total
+
+
 def test_canonical_word_weight_decomposition():
-    # the weight of e_{m-1}^{v2} e_1^{v1} e_0^{v0-1} e_d is base_weight(v) + d
+    # the weight of e_{m-1}^{v2} e_1^{v1} e_0^{v0-1} e_d is block_weight(v) + d,
+    # which canonical_word inverts to find d
+    assert block_weight(P94, (5, 0, 0)) == 0
+    assert block_weight(P43, (1, 1)) == 3
+    assert block_weight(P43, (-1, 1)) == 3
     params = P94
     n, m = params.n, params.num_orbits
     for v in itertools.product(range(-2, 3), repeat=m):
@@ -299,8 +306,9 @@ def test_canonical_word_weight_decomposition():
                 letters.append((0, v[0] - 1))
             letters.append((d, 1))
             packed = word_eval(Word(params, tuple(letters)))
-            assert packed.a == (base_weight(params, v) + d) % n
+            assert packed.a == (block_weight(params, v) + d) % n
             assert packed.v == v
+            assert canonical_word(packed).letters == merge_letters(letters)
 
 
 def test_canonical_word_roundtrip_random():
