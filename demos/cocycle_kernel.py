@@ -33,7 +33,8 @@ print()
 # Z/n, since the cocycle is symmetric; that collapse is what makes the
 # two-letter shift relation (and hence the normal form) work.
 print("commutator form on all pairs is zero:",
-      all(extension_cocycle(params, (0, x), (0, y)) == extension_cocycle(params, (0, y), (0, x))
+      all(extension_cocycle(params, (0, x), (0, y))
+          == extension_cocycle(params, (0, y), (0, x))
           for x in range(n) for y in range(n)))
 print()
 
