@@ -288,12 +288,24 @@ def block_weight(params, v):
     return total
 
 
+def test_base_weight_examples():
+    # the weight of the letter blocks e_{m-1}^{v_{m-1}} ... e_0^{v_0}, from the
+    # closed form and from word_eval of the block word (what canonical_word uses)
+    for params, v, weight in (
+        (P94, (5, 0, 0), 0),
+        (P43, (1, 1), 3),
+        (P43, (-1, 1), 3),
+    ):
+        assert block_weight(params, v) == weight
+        blocks = [(r, v[r]) for r in range(len(v) - 1, -1, -1) if v[r]]
+        assert word_eval(Word(params, blocks)).a == weight
+    with pytest.raises(LengthMismatchError):
+        canonical_word(PackedElement(P43, (1, 1, 1), 0))
+
+
 def test_canonical_word_weight_decomposition():
     # the weight of e_{m-1}^{v2} e_1^{v1} e_0^{v0-1} e_d is block_weight(v) + d,
     # which canonical_word inverts to find d
-    assert block_weight(P94, (5, 0, 0)) == 0
-    assert block_weight(P43, (1, 1)) == 3
-    assert block_weight(P43, (-1, 1)) == 3
     params = P94
     n, m = params.n, params.num_orbits
     for v in itertools.product(range(-2, 3), repeat=m):
