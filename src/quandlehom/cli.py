@@ -35,7 +35,7 @@ from .checks import run_verification
 from .errors import QuandleAxiomError, QuandleHomError, TableFormatError
 from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
 from .quandle import FiniteQuandle, LinearAlexanderParams, build_alexander, parse_table
-from .words import canonical_word, format_word, parse_word, rewrite_trace, word_eval
+from .words import _token, canonical_word, format_word, parse_word, rewrite_trace, word_eval
 
 
 def _params(args):
@@ -77,6 +77,14 @@ def _cmd_h2(args):
     return _report(args, result=result), 0
 
 
+class _Tokens(dict):
+    """(color, exponent) -> the letter's text in a word, made on first use."""
+
+    def __missing__(self, letter):
+        token = self[letter] = _token(*letter)
+        return token
+
+
 def _cmd_normal_form(args):
     params = _params(args)
     word = parse_word(args.word, params)
@@ -91,8 +99,14 @@ def _cmd_normal_form(args):
         "canonical": format_word(canonical),
     }
     if args.trace:
+        # one token table per report: a trace repeats its letters step after step
+        token = _Tokens().__getitem__
         result["trace"] = [
-            {"rule": step.rule, "word": format_word(step.word), "note": step.note}
+            {
+                "rule": step.rule,
+                "word": " ".join(map(token, step.word.letters)),
+                "note": step.note,
+            }
             for step in steps
         ]
     return _report(args, result=result), 0

@@ -19,6 +19,7 @@ weighs its letter blocks with ``word_eval`` too.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -108,10 +109,15 @@ _TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
 def parse_word(text, params):
     """Parse tokens e<color> or e<color>^<exp> separated by ASCII whitespace.
 
-    Colors and exponents are ASCII decimal integers of at most
-    ``sys.get_int_max_str_digits()`` digits (4,300 by default).
+    Colors and exponents are ASCII decimal integers.  A word is refused
+    when sum |e| + n (L + 1), for L letters, reaches 10^limit with limit =
+    ``sys.get_int_max_str_digits()`` (4,300 by default, 0 for none): that
+    sum bounds every int a report of the word prints (the packed vector,
+    the degree, the canonical exponents and the central powers, which add
+    at most d <= n per letter), and ints past the limit cannot be printed.
     """
     letters = []
+    bound = 0
     for token in ASCII_FIELD.findall(text):
         match = _TOKEN.match(token)
         if match is None:
@@ -128,6 +134,16 @@ def parse_word(text, params):
         if exp == 0:
             raise WordSyntaxError(f"zero exponent in {token!r}")
         letters.append((color, exp))
+        bound += abs(exp)
+    bound += params.n * (len(letters) + 1)
+    # Python 3.10 before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 8^limit <= 10^limit: the bit length settles almost every word cheaply
+    if limit and bound.bit_length() > 3 * limit and bound >= 10**limit:
+        raise WordSyntaxError(
+            f"exponents too large: the report would print integers past "
+            f"the {limit}-digit integer string limit"
+        )
     return Word._adopt(params, tuple(letters))
 
 
@@ -331,6 +347,41 @@ def merge_letters(letters):
     return tuple(merged)
 
 
+def _push(stack, c, e):
+    """Append e_c^e to a free-reduced list of letters, keeping it reduced."""
+    if stack and stack[-1][0] == c:
+        total = stack[-1][1] + e
+        if total:
+            stack[-1] = (c, total)
+        else:
+            stack.pop()
+    elif e:
+        stack.append((c, e))
+
+
+def _join(*parts):
+    """merge_letters of the concatenated parts, each one free-reduced already.
+
+    Only the letters that meet at a seam are looked at.  A seam keeps
+    merging while its pairs cancel, so it may run on into both parts and
+    past a part that cancels away; free reduction is unique, so the result
+    is merge_letters of the whole concatenation.
+    """
+    joined = list(parts[0])
+    for part in parts[1:]:
+        j = 0
+        while joined and j < len(part) and joined[-1][0] == part[j][0]:
+            c, e = part[j]
+            j += 1
+            total = joined[-1][1] + e
+            if total:
+                joined[-1] = (c, total)
+                break
+            joined.pop()
+        joined += part[j:] if j else part
+    return tuple(joined)
+
+
 def _token(color, exp=1):
     return f"e{color}" if exp == 1 else f"e{color}^{exp}"
 
@@ -362,6 +413,15 @@ def rewrite_trace(word):
     input, and the number of steps grows with the number of letters and
     runs, not with their exponents.
 
+    Each step's word is reported free-reduced (``merge_letters``), and a
+    move that only merges letters leaves no step.  The parts a step's word
+    is made of are kept free-reduced as they are built: the prefixes of
+    the input (one stack pass, undone a letter at a time), each orbit
+    block, the body up to the letter being raised and the shifted runs.
+    A step joins them with ``_join``, which looks only at the letters
+    that meet at a seam, so a step costs its seams plus its output, and
+    ``merge_letters`` runs only in the at most m steps of phase 4.
+
     Returns (canonical word, tuple of RewriteStep).
     """
     params = word.params
@@ -375,67 +435,82 @@ def rewrite_trace(word):
     steps = []
     prefix = {}  # orbit representative -> accumulated central exponent (< 0)
 
-    def snapshot(rule, body, note):
-        # the central prefix letters lead, in orbit order; a move that only
-        # merges letters of one color leaves no step
-        central = [(r, prefix[r]) for r in sorted(prefix) if prefix[r]]
-        letters = merge_letters(central + body)
-        if letters != (steps[-1].word.letters if steps else merge_letters(word.letters)):
+    def central():
+        # the central prefix letters lead the word, in orbit order
+        return tuple((r, prefix[r]) for r in sorted(prefix) if prefix[r])
+
+    def snapshot(rule, letters, note):
+        # a move that only merges letters of one color leaves no step
+        nonlocal last
+        if letters != last:
             steps.append(RewriteStep(rule, Word._adopt(params, letters), note))
+            last = letters
+
+    # head is the free-reduced input prefix; undo[i] turns the head of
+    # letters[:i+1] back into that of letters[:i]
+    letters = word.letters
+    head = []
+    undo = []
+    for c, e in letters:
+        top = head[-1:]
+        undo.append((len(head) - len(top), top))
+        _push(head, c, e)
+    last = tuple(head)
 
     # 1. block braids; blocks[r] holds the orbit-r letters of the sorted
-    #    suffix right to left, with its degree and weight.  The product law
-    #    is written out inline here: going through PackedElement and act
-    #    made rewrite_trace 20-35% slower
-    letters = word.letters
+    #    suffix right to left and free-reduced, with their count, degree
+    #    and weight.  The product law is written out inline here: going
+    #    through PackedElement and act made rewrite_trace 20-35% slower
     blocks = [[] for _ in range(m)]
+    block_len = [0] * m
     block_deg = [0] * m
     block_weight = [0] * m
-
-    def sorted_suffix():
-        return [letter for r in range(m - 1, -1, -1) for letter in reversed(blocks[r])]
-
     for i in range(len(letters) - 1, -1, -1):
+        cut, top = undo[i]
+        head[cut:] = top
         x, e = letters[i]
         orbit = x % m
         deg = weight = crossed = 0
         for r in range(m - 1, orbit, -1):
-            if blocks[r]:
+            if block_len[r]:
                 weight = (pow(t, block_deg[r], n) * weight + block_weight[r]) % n
                 deg += block_deg[r]
-                crossed += len(blocks[r])
+                crossed += block_len[r]
         y = (pow(t, deg, n) * x + (1 - t) * weight) % n
         block_weight[orbit] = (
             pow(t, block_deg[orbit], n) * geometric_sum(t, e, n) * y
             + block_weight[orbit]
         ) % n
         block_deg[orbit] += e
-        blocks[orbit].append((y, e))
+        block_len[orbit] += 1
+        _push(blocks[orbit], y, e)
         if crossed:
             snapshot(
                 "braid",
-                list(letters[:i]) + sorted_suffix(),
+                _join(head, *(block[::-1] for block in reversed(blocks))),
                 f"{_token(x, e)} moves right past {crossed} "
                 f"letter{'s' if crossed > 1 else ''} of higher orbits "
                 f"and becomes {_token(y, e)}",
             )
 
-    # 2. clear negative exponents with central powers e_r^d
-    body = [list(letter) for letter in merge_letters(sorted_suffix())]
-    for pair in body:
-        c, e = pair
+    # 2. clear negative exponents with central powers e_r^d; runs is the
+    #    free-reduced body up to the letter at hand, raised letters included
+    body = tuple(letter for block in reversed(blocks) for letter in reversed(block))
+    runs = []
+    for j, (c, e) in enumerate(body):
         if e < 0:
             xi = (-e + d - 1) // d
             r = c % m
             prefix[r] = prefix.get(r, 0) - xi * d
-            pair[1] = e + xi * d
+            _push(runs, c, e + xi * d)
             snapshot(
                 "central-power",
-                body,
+                _join(central(), runs, body[j + 1 :]),
                 f"insert {_token(r, -xi * d)} on the left, "
-                f"raise {_token(c, e)} to {_token(c, pair[1])}",
+                f"raise {_token(c, e)} to {_token(c, e + xi * d)}",
             )
-    runs = list(merge_letters(body))
+        else:
+            _push(runs, c, e)
 
     # the final sweep needs an orbit-0 letter at the right end
     if not any(c % m == 0 for c, _ in runs):
@@ -443,14 +518,17 @@ def rewrite_trace(word):
         runs.append((0, d))
         snapshot(
             "central-power",
-            runs,
+            _join(central(), runs),
             f"insert the central pair {_token(0, -d)} ... {_token(0, d)}",
         )
 
     # 3. shift every run to its orbit representative; the trailing unit of
-    #    the last run is the final letter and only absorbs the carried shift
+    #    the last run is the final letter and only absorbs the carried shift.
+    #    done holds the shifted runs free-reduced; runs is free-reduced
+    #    except at the split of its last run
     x, k = runs[-1]
     runs[-1:] = [(x, k - 1), (x, 1)] if k > 1 else [(x, 1)]
+    lead = central()
     done = []
     carry = 0
     for i in range(len(runs) - 1):
@@ -458,18 +536,20 @@ def rewrite_trace(word):
         r = x % m
         z = (x + carry) % n
         carry = (pow(t, k, n) * carry + t * geometric_sum(t, k, n) * (x - r)) % n
-        done.append((r, k))
+        _push(done, r, k)
         if z != r or (k > 1 and x != r):
             y, f = runs[i + 1]
             shifted = (y + carry) % n
             rest = [(y, f - 1)] if f > 1 else []
+            tail = runs[i + 2 :]
             run = [_token(z)] + ([_token(x, k - 1)] if k > 1 else [])
             snapshot(
                 "relation",
-                done + [(shifted, 1)] + rest + runs[i + 2 :],
+                _join(lead, done, [(shifted, 1)], rest, tail[:-1], tail[-1:]),
                 f"shift {' '.join(run)} {_token(y)} to {_token(r, k)} {_token(shifted)}",
             )
-    body = [list(letter) for letter in merge_letters(done + [((runs[-1][0] + carry) % n, 1)])]
+    _push(done, (runs[-1][0] + carry) % n, 1)
+    body = [list(letter) for letter in done]
 
     # 4. cancel the central prefix into the blocks
     for r in sorted(prefix, reverse=True):
@@ -491,7 +571,11 @@ def rewrite_trace(word):
             body[slot][1] += cr
             if body[slot][1] == 0:
                 del body[slot]
-        snapshot("central-power", body, f"cancel {_token(r, cr)} into its block")
+        snapshot(
+            "central-power",
+            merge_letters([*central(), *body]),
+            f"cancel {_token(r, cr)} into its block",
+        )
 
     final = Word._adopt(params, merge_letters(body))
     if final.letters != target.letters:

@@ -211,6 +211,39 @@ def test_numerals_past_the_int_string_limit_are_refused(tmp_path, capsys):
         assert json.loads(captured.out)["error"]["code"] == "TableFormat", name
 
 
+def test_words_past_the_printable_bound_are_refused(capsys):
+    # sum |e| + n (L + 1) bounds every int a normal-form report prints; a word
+    # whose bound reaches 10^4300 (the default int-string limit) is refused
+    # up front, with or without --trace, and one just under it is printed
+    nines = "9" * 4300
+    src = str(pathlib.Path(quandlehom.__file__).resolve().parents[1])
+    for word, flags in ((f"e0^{nines} e0^{nines}", []), (f"e2 e1^-{nines}", ["--trace"])):
+        child = subprocess.run(
+            [sys.executable, "-m", "quandlehom.cli", "normal-form", "--n", "4", "--t", "3",
+             "--word", word, *flags],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (3, ""), flags
+        assert json.loads(child.stdout)["error"]["code"] == "WordSyntax", flags
+    for word in (f"e3^-{nines} e0", f"e0^{nines}"):
+        for flags in ([], ["--trace"]):
+            code = main(["normal-form", "--n", "4", "--t", "3", "--word", word, *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (3, "")
+            assert json.loads(captured.out)["error"]["code"] == "WordSyntax"
+    # 1 + (10^4300 - 14) + 4 * 3 = 10^4300 - 1
+    under = 10**4300 - 14
+    for flags in ([], ["--trace"]):
+        code = main(["normal-form", "--n", "4", "--t", "3", "--word", f"e2 e1^-{under}", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["result"]["degree"] == 1 - under
+    code, report = run_cli(
+        capsys, "normal-form", "--n", "4", "--t", "3", "--word", f"e2 e1^-{under + 1}"
+    )
+    assert code == 3 and report["error"]["code"] == "WordSyntax"
+
+
 def test_axioms_non_utf8_table(tmp_path, capsys):
     path = tmp_path / "binary.tbl"
     path.write_bytes(b"2\n0 1\n\xff\xfe 0\n")

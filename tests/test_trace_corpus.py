@@ -30,8 +30,9 @@ REPORTS_SHA256 = "76fc9ef3eed3bd191976cbda4bbcf55e8dd0ee33e25c83edbe533f92bdb22f
 EDGE_WORDS = (
     # a raised e5^-3 vanishes and its e2 neighbours meet the central e2^-3
     (9, 4, "e2 e5^-3 e2"),
-    # both central letters cancel into the runs, one after the other
+    # already canonical: no step
     (4, 3, "e1^-2 e0^-2"),
+    # a cancellation at a join runs on: two central letters cancel in turn
     (4, 3, "e3^-2 e1^2 e2^-2 e0^4"),
     (10, 3, "e1^-4 e3^4 e0^-8 e2^4"),
     # m = 1: every letter is central-power material
