@@ -413,14 +413,12 @@ def rewrite_trace(word):
     input, and the number of steps grows with the number of letters and
     runs, not with their exponents.
 
-    Each step's word is reported free-reduced (``merge_letters``), and a
-    move that only merges letters leaves no step.  The parts a step's word
-    is made of are kept free-reduced as they are built: the prefixes of
-    the input (one stack pass, undone a letter at a time), each orbit
-    block, the body up to the letter being raised and the shifted runs.
-    A step joins them with ``_join``, which looks only at the letters
-    that meet at a seam, so a step costs its seams plus its output, and
-    ``merge_letters`` runs only in the at most m steps of phase 4.
+    Each step's word is free-reduced, and a move that only merges letters
+    leaves no step.  The parts of a step's word (input prefix, orbit
+    blocks, raised body, shifted runs) are kept free-reduced as they are
+    built and joined with ``_join``, so a step costs its seams plus its
+    output; ``merge_letters`` runs only for the at most m steps of phase 4
+    and the final word.
 
     Returns (canonical word, tuple of RewriteStep).
     """

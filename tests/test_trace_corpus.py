@@ -47,17 +47,13 @@ EDGE_WORDS = (
 )
 
 
-def _params(n, t):
-    return LinearAlexanderParams(n, t)
-
-
 def _format(letters):
     return " ".join(f"e{c}" if e == 1 else f"e{c}^{e}" for c, e in letters)
 
 
 def _long_word(rng, n, t, length, shape):
     """``length`` letters in one of three shapes: unit, mixed (|e| <= 6), heavy."""
-    m = _params(n, t).num_orbits
+    m = LinearAlexanderParams(n, t).num_orbits
     exps = [
         rng.choice((1, -1)) * (rng.randint(1, 6) if shape == "mixed" else 1)
         for _ in range(length)
@@ -86,7 +82,7 @@ def _seam_words():
     words = []
     for j in range(24):
         n, t = PAIRS[j % len(PAIRS)] if j % 3 else (4, 3)
-        d = central_power_degree(_params(n, t))
+        d = central_power_degree(LinearAlexanderParams(n, t))
         letters = []
         for _ in range(rng.randint(3, 9)):
             color = letters[-1][0] if letters and rng.random() < 0.4 else rng.randrange(n)
@@ -113,7 +109,7 @@ def test_trace_reports_are_pinned(capsys):
 
 def test_long_traces_are_legal_step_by_step():
     for n, t, text in LONG_WORDS:
-        word = parse_word(text, _params(n, t))
+        word = parse_word(text, LinearAlexanderParams(n, t))
         final, steps = rewrite_trace(word)
         before = merge_letters(word.letters)
         for step in steps:
