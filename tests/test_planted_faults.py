@@ -10,6 +10,8 @@ dropped would show up as a lower count or as a missed fault.
 import itertools
 import random
 
+import pytest
+
 from quandlehom import checks
 from quandlehom.quandle import LinearAlexanderParams, Violation, build_alexander
 from quandlehom.words import PackedElement, Word, word_eval
@@ -163,3 +165,36 @@ def test_word_laws_sample_sweep_catches_a_wrong_walk(monkeypatch):
     assert len(expected) == samples
     assert result.failures == expected[: checks.MAX_RECORDED_FAILURES]
     assert result.checks == clean.checks
+
+
+def _doubled_values(real):
+    def planted(params):
+        phi = real(params)
+        return lambda alpha, beta: PackedElement(
+            params, tuple(2 * x for x in phi(alpha, beta).v), 0
+        )
+
+    return planted
+
+
+def _doubled_last_row(real):
+    def planted(params):
+        rows = real(params)
+        last = rows[-1]
+        return rows[:-1] + [PackedElement(params, tuple(2 * x for x in last.v), 0)]
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("_word_cocycle", _doubled_values), ("kernel_lattice_basis", _doubled_last_row)],
+)
+@pytest.mark.parametrize("params", [P43, LinearAlexanderParams(9, 4), LinearAlexanderParams(12, 5)])
+def test_kernel_generation_faults_are_caught(monkeypatch, name, fault, params):
+    # a lattice of index 2 in the kernel is not the kernel: one check, failed
+    clean = checks.check_kernel_generation(params)
+    assert params.num_orbits >= 2 and clean.passed and clean.checks == 1
+    monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
+    result = checks.check_kernel_generation(params)
+    assert len(result.failures) == 1 and result.checks == 1
