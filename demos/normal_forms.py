@@ -7,7 +7,7 @@ from quandlehom import (
     LinearAlexanderParams,
     act,
     canonical_word,
-    central_power_degree,
+    multiplicative_order,
     parse_word,
     rewrite_trace,
     word_eval,
@@ -15,7 +15,7 @@ from quandlehom import (
 
 params = LinearAlexanderParams(9, 4)
 print(f"quandle: twist {params.t} on Z/{params.n}, {params.num_orbits} orbits")
-print(f"central power degree (order of t): {central_power_degree(params)}")
+print(f"central power degree (order of t): {multiplicative_order(params.t, params.n)}")
 print()
 
 # Every word collapses to a pair (v, a): per-orbit signed letter counts

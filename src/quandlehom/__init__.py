@@ -12,8 +12,9 @@ a word is folded into it by ``word_eval`` alone: the (degree, weight) pair
 of a word is ``word_eval(word).degree, word_eval(word).a``, its collapse to
 Z x| Z/n, and a cocycle value or kernel lattice row is a ``PackedElement``
 (v, 0).  Cocycle values come from a closed form over residues mod m
-(``extension_cocycle``; degree zero is the pairs (0, a), (0, b)); the
-oracle ``cocycle_image_basis`` spans the kernel from the section words.
+(``extension_cocycle``; degree zero is the pairs (0, a), (0, b)), and the
+kernel lattice they span has a closed-form basis (``kernel_lattice_basis``);
+lattices are compared by the ``invariant_factors`` of their spanning sets.
 ``FiniteQuandle(table)``, ``build_conj`` and ``build_core`` check every
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
@@ -41,7 +42,6 @@ from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
     SmithForm,
-    hnf_rows,
     homology_invariants,
     invariant_factors,
     multiplicative_order,
@@ -66,7 +66,6 @@ from .words import (
     Word,
     act,
     canonical_word,
-    central_power_degree,
     format_word,
     generator,
     parse_word,
@@ -85,7 +84,6 @@ from .homology import (
     h2_closed_form,
     h2_eisermann,
 )
-from .checks import cocycle_image_basis
 
 __version__ = "0.1.0"
 
@@ -120,8 +118,6 @@ __all__ = [
     "build_core",
     "build_takasaki",
     "canonical_word",
-    "central_power_degree",
-    "cocycle_image_basis",
     "extension_cocycle",
     "find_violation",
     "format_table",
@@ -130,7 +126,6 @@ __all__ = [
     "h2_chain_complex",
     "h2_closed_form",
     "h2_eisermann",
-    "hnf_rows",
     "homology_invariants",
     "invariant_factors",
     "kernel_lattice_basis",

@@ -18,7 +18,7 @@ from operator import add, sub
 from .cocycle import extension_cocycle, kernel_lattice_basis
 from .errors import EmptyRangeError, NegativeCountError, NotAComplexError
 from .homology import h2_chain_complex, h2_closed_form, h2_eisermann
-from .intlinalg import IntMatrix, hnf_rows, multiplicative_order, smith_normal_form
+from .intlinalg import IntMatrix, invariant_factors, multiplicative_order, smith_normal_form
 from .quandle import (
     LinearAlexanderParams,
     build_alexander,
@@ -27,11 +27,9 @@ from .quandle import (
     orbits,
 )
 from .words import (
-    PackedElement,
     Word,
     act,
     canonical_word,
-    central_power_degree,
     generator,
     merge_letters,
     rewrite_trace,
@@ -255,12 +253,12 @@ def check_weight_action_exhaustive(params):
 
 
 def check_central_power(params):
-    """The central power degree equals the order of t, and is minimal."""
+    """The order d of t satisfies t^d == 1, e_x^d is central, and d is minimal."""
     result = CheckResult("central-power", {"n": params.n, "t": params.t})
     n = params.n
-    d = central_power_degree(params)
-    if not result.check(d == multiplicative_order(params.t, n)):
-        result.fail(f"central power degree {d} != order of t")
+    d = multiplicative_order(params.t, n)
+    if not result.check(pow(params.t, d, n) == 1 % n):
+        result.fail(f"order {d} of t fails t^{d} == 1 mod {n}")
     for x in range(n):
         power = generator(params, x, d)
         packed = word_eval(power)
@@ -325,17 +323,17 @@ def _conjugate_splits(diff):
 def _is_braid(params, diff):
     # e_x^e B = B e_{x.B}^e has Y X^-1 = B e_{x.B}^e B^-1 e_x^-e
     return any(
-        block and c == act(a, word_eval(Word(params, block)))
+        block and c == act(a, word_eval(Word._adopt(params, block)))
         for c, _, a, block in _conjugate_splits(diff)
     )
 
 
 def _is_central_power(params, diff):
-    # moving e_r^k (d | k) across any word W to a letter e_c, c = r mod m
-    d = central_power_degree(params)
+    # moving e_r^k (d | k, i.e. t^k == 1) across any word W to a letter e_c, c = r mod m
+    n, t = params.n, params.t
     m = params.num_orbits
     return any(
-        f % d == 0 and c % m == a % m for c, f, a, _ in _conjugate_splits(diff)
+        pow(t, f, n) == 1 % n and c % m == a % m for c, f, a, _ in _conjugate_splits(diff)
     )
 
 
@@ -360,7 +358,7 @@ def _is_run_shift(params, new, old):
     m = params.num_orbits
     if len(middle) > 1 or count != k - 1 or r != x % m or z % m != r:
         return False
-    same = word_eval(Word(params, new + _inverse(old)))
+    same = word_eval(Word._adopt(params, new + _inverse(old)))
     return same.a == 0 and not any(same.v)
 
 
@@ -482,16 +480,6 @@ def _word_cocycle(params):
         return packed
 
     return phi
-
-
-def cocycle_image_basis(params):
-    """Hermite basis spanned by the word-route values phi((1, a), (1, b)).
-
-    It should equal kernel_lattice_basis: the cocycle generates the kernel.
-    """
-    phi, n = _word_cocycle(params), params.n
-    vectors = [phi((1, a), (1, b)).v for a in range(n) for b in range(n)]
-    return [PackedElement(params, row, 0) for row in hnf_rows(vectors, params.num_orbits)]
 
 
 def check_cocycle_identities(params):
@@ -644,12 +632,22 @@ def check_cocycle_identities(params):
 
 
 def check_kernel_generation(params):
-    """The cocycle values span exactly the degree-and-weight-zero lattice."""
+    """The cocycle values span exactly the degree-and-weight-zero lattice.
+
+    Lattices A and B are equal iff A, B and A + B have equal invariant
+    factors: A lies in A + B, and equal lists mean an equal rank and an
+    equal index in the common saturation.
+    """
     result = CheckResult("kernel-generation", {"n": params.n, "t": params.t})
-    spanned = [list(row.v) for row in cocycle_image_basis(params)]
-    lattice = [list(row.v) for row in kernel_lattice_basis(params)]
-    if not result.check(spanned == lattice):
-        result.fail(f"cocycle image lattice {spanned} != kernel lattice {lattice}")
+    phi, n, m = _word_cocycle(params), params.n, params.num_orbits
+    values = {phi((1, a), (1, b)).v for a in range(n) for b in range(n)}
+    basis = {row.v for row in kernel_lattice_basis(params)}
+    spanned, lattice, both = (
+        invariant_factors(IntMatrix._adopt([list(v) for v in rows], m))
+        for rows in (values, basis, values | basis)
+    )
+    if not result.check(spanned == lattice == both):
+        result.fail(f"invariant factors: cocycle values {spanned}, kernel {lattice}, both {both}")
     return result
 
 

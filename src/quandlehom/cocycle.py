@@ -46,10 +46,10 @@ def kernel_lattice_basis(params):
     read f_r + (r+1) f_(m-2) and m f_(m-2): triangular with diagonal
     (1, ..., 1, m), so they span a sublattice of index m in H.  The weight
     map H -> Z/m is onto (e_1 - e_0 has weight 1), so L has index m in H
-    too, and the rows span L.  They are already in the form hnf_rows
-    returns: positive pivots, and r+1 in [0, m) above the pivot m, so equal
-    lattices give equal lists.  The lattice has rank m - 1 and is spanned
-    by the cocycle values; check_kernel_generation compares the two bases.
+    too, and the rows span L.  H is saturated and H / L is Z/m, so the
+    invariant factors of the rows are 1 (m - 2 times) and m.  The lattice
+    is spanned by the cocycle values; check_kernel_generation compares the
+    two by their invariant factors.
     """
     m = params.num_orbits
     if m == 1:

@@ -3,8 +3,9 @@
 Everything in this module works over plain Python integers, so all results
 are exact regardless of entry size.  The Smith normal form, after a sparse
 elimination of unit pivots, gives the invariant factors of finitely
-generated abelian groups presented as Ker/Im of a pair of boundary maps;
-``hnf_rows`` gives canonical bases of lattices.
+generated abelian groups presented as Ker/Im of a pair of boundary maps.
+The same invariant factors compare lattices: the rows of a matrix span a
+lattice whose index in its saturation is the product of its factors.
 
 ``IntMatrix(data)`` checks and copies data from outside; matrices the
 package builds are adopted as they are.  ``@`` is the one product and forms
@@ -398,53 +399,3 @@ def homology_invariants(d_low, d_high):
         tuple(f for f in high_factors if f >= 2),
     )
 
-
-def hnf_rows(vectors, width=None):
-    """Canonical (row-style Hermite) basis of the lattice spanned by ``vectors``.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and zero rows are dropped.  Two spanning sets generate the
-    same lattice iff their hnf_rows agree, which is how all basis-valued
-    results in this package are compared.
-    """
-    rows = [list(vec) for vec in vectors if any(vec)]
-    if width is None:
-        if not rows:
-            return []
-        width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ShapeMismatchError("vectors of unequal length")
-    h = 0
-    for j in range(width):
-        while True:
-            best = None
-            for i in range(h, len(rows)):
-                if rows[i][j] and (best is None or abs(rows[i][j]) < abs(rows[best][j])):
-                    best = i
-            if best is None:
-                placed = False
-                break
-            rows[h], rows[best] = rows[best], rows[h]
-            if rows[h][j] < 0:
-                rows[h] = [-x for x in rows[h]]
-            p = rows[h][j]
-            clean = True
-            for i in range(h + 1, len(rows)):
-                e = rows[i][j]
-                if e:
-                    q = e // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[h])]
-                    if rows[i][j]:
-                        clean = False
-            if clean:
-                placed = True
-                break
-        if not placed:
-            continue
-        p = rows[h][j]
-        for i in range(h):
-            q = rows[i][j] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[h])]
-        h += 1
-    return rows[:h]

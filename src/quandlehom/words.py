@@ -287,16 +287,6 @@ def act(x, packed):
     return (pow(t, packed.degree, n) * x + (1 - t) * packed.a) % n
 
 
-def central_power_degree(params):
-    """Smallest d >= 1 with e_x^d central for every color x.
-
-    A power e_x^d commutes with everything iff it acts trivially on the
-    quandle, which for the twist t happens exactly when t^d == 1 mod n, so
-    d is the multiplicative order of t.
-    """
-    return multiplicative_order(params.t, params.n)
-
-
 def section(params, k, a):
     """The word e_0^(k-1) e_a, a set-theoretic section of the (degree, weight) map.
 
@@ -428,7 +418,7 @@ def rewrite_trace(word):
         return target, ()
     n, t = params.n, params.t
     m = params.num_orbits
-    d = central_power_degree(params)
+    d = multiplicative_order(t, n)
 
     steps = []
     prefix = {}  # orbit representative -> accumulated central exponent (< 0)

@@ -181,7 +181,7 @@ def test_c09_cocycle_image_generates_kernel():
             failures.append((params.n, params.t, result.failures))
     _criterion(
         9,
-        "cocycle values span exactly the kernel lattice (Hermite equality), "
+        "cocycle values span exactly the kernel lattice (equal invariant factors), "
         "n <= 10",
         not failures,
         str(failures[:2]),

@@ -14,7 +14,6 @@ from quandlehom.errors import (
 from quandlehom.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    hnf_rows,
     homology_invariants,
     invariant_factors,
     multiplicative_order,
@@ -402,23 +401,3 @@ def test_homology_invariants_basis_independent():
         assert q @ q_inv == IntMatrix.identity(b)
         transformed = homology_invariants(p @ d_low @ q, q_inv @ d_high @ r)
         assert transformed == reference
-
-
-def test_hnf_rows_canonical():
-    # same lattice, different spanning sets
-    left = hnf_rows([[2, 0], [0, 2], [1, 1]])
-    right = hnf_rows([[1, 1], [1, -1]])
-    assert left == right
-    assert hnf_rows([[0, 0]], width=2) == []
-    assert hnf_rows([[-2, 2]]) == [[2, -2]]
-    rng = random.Random(3)
-    for _ in range(50):
-        dim = rng.randint(1, 4)
-        vecs = [
-            [rng.randint(-4, 4) for _ in range(dim)]
-            for _ in range(rng.randint(1, 5))
-        ]
-        base = hnf_rows(vecs, dim)
-        # appending an integer combination of the rows never changes the lattice
-        extra = [sum(col) for col in zip(*vecs)]
-        assert hnf_rows(vecs + [extra], dim) == base

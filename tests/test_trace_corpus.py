@@ -14,8 +14,8 @@ import random
 from quandlehom.checks import trace_violation
 from quandlehom.cli import main
 from quandlehom.quandle import LinearAlexanderParams
+from quandlehom.intlinalg import multiplicative_order
 from quandlehom.words import (
-    central_power_degree,
     merge_letters,
     parse_word,
     rewrite_trace,
@@ -82,7 +82,7 @@ def _seam_words():
     words = []
     for j in range(24):
         n, t = PAIRS[j % len(PAIRS)] if j % 3 else (4, 3)
-        d = central_power_degree(LinearAlexanderParams(n, t))
+        d = multiplicative_order(t, n)
         letters = []
         for _ in range(rng.randint(3, 9)):
             color = letters[-1][0] if letters and rng.random() < 0.4 else rng.randrange(n)

@@ -16,6 +16,7 @@ from quandlehom.errors import (
     NotInImageError,
     WordSyntaxError,
 )
+from quandlehom.intlinalg import multiplicative_order
 from quandlehom.quandle import LinearAlexanderParams, build_alexander
 from quandlehom.words import (
     PackedElement,
@@ -23,7 +24,6 @@ from quandlehom.words import (
     Word,
     act,
     canonical_word,
-    central_power_degree,
     format_word,
     geometric_sum,
     generator,
@@ -363,9 +363,10 @@ def test_conjugation_rule():
 
 
 def test_central_power_degree_examples():
-    assert central_power_degree(LinearAlexanderParams(6, 1)) == 1
-    assert central_power_degree(P43) == 2
-    assert central_power_degree(P94) == 3
+    # the order of t: e_x^d is central exactly when t^d == 1 mod n
+    assert multiplicative_order(1, 6) == 1
+    assert multiplicative_order(P43.t, P43.n) == 2
+    assert multiplicative_order(P94.t, P94.n) == 3
 
 
 def test_section_examples():
