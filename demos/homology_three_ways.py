@@ -14,9 +14,9 @@ from quandlehom import (
     h2_eisermann,
 )
 
-# The chain-complex route diagonalizes boundary matrices of size up to
-# n^2 x n^3 over the integers; the closed formula and the pullback route
-# are instant.  They must agree everywhere.
+# The chain-complex route eliminates the boundary maps over the integers,
+# one orbit block at a time, from about 4 n^3 nonzeros; the closed formula
+# and the pullback route are instant.  They must agree everywhere.
 print(f"{'n':>3} {'t':>3} {'m':>3}   {'formula':24} {'pullback':24} {'chain':24}")
 for n in range(2, 11):
     for t in range(n):

@@ -19,8 +19,8 @@ lattices are compared by the ``invariant_factors`` of their spanning sets.
 quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
 functions (``h2_closed_form``, ``h2_eisermann``, ``h2_chain_complex``); the
-pullback and chain routes share only ``homology_invariants``, applied to a
-1 x (m+1) pair and to the boundary pair respectively.
+pullback and chain routes share only the sparse core of ``homology_invariants``,
+applied to a 1 x (m+1) pair and to each orbit block of the boundary pair.
 """
 
 from .errors import (

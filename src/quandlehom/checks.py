@@ -677,7 +677,7 @@ def check_h2_oracles(params):
             chain is not None and chain == formula and chain.rank == 0 and not chain.torsion
         ):
             result.fail(broken if chain is None else "connected quandle has nontrivial homology")
-    # h2_chain_complex raises NotAComplexError exactly when d2 @ d3 != 0
+    # NotAComplexError: d2 @ d3 != 0 on a block, or a term outside its block
     if not result.check(broken is None):
         result.fail("d2 @ d3 != 0")
     return result

@@ -11,10 +11,10 @@ lattice whose index in its saturation is the product of its factors.
 package builds are adopted as they are.  ``@`` is the one product and forms
 only the terms where both factors are nonzero.  The Smith transforms ride
 in the working matrix, so every elimination step updates them in passing.
-``homology_invariants`` turns each matrix of a chain pair into sparse rows
-once: the check d_low @ d_high == 0 sums products of those nonzeros with no
-dense product, and the same rows go to the unit-pivot elimination, which
-keeps them in buckets by length instead of sorting them at every pivot.
+One sparse core gives the homology of a chain pair: it checks
+d_low @ d_high == 0 on the nonzeros, with no dense product, and hands the
+same rows to the unit-pivot elimination, which keeps them in buckets by
+length.  ``homology_invariants`` feeds it a dense pair's rows.
 """
 
 from __future__ import annotations
@@ -365,6 +365,23 @@ def invariant_factors(matrix):
     return _sparse_invariant_factors(_sparse_rows(matrix))
 
 
+def _homology(low, high, middle):
+    """``homology_invariants`` on the sparse rows ``low`` and ``high``, which
+    meet in a middle degree of rank ``middle``; both are eliminated in place.
+    """
+    for row in low:
+        acc = {}
+        for k, a in row.items():
+            for j, e in high[k].items():
+                acc[j] = acc.get(j, 0) + a * e
+        if any(acc.values()):
+            raise NotAComplexError("d_low @ d_high is nonzero")
+    low_rank = len(_sparse_invariant_factors(low))
+    high_factors = _sparse_invariant_factors(high)
+    torsion = tuple(f for f in high_factors if f >= 2)
+    return AbelianInvariants(middle - low_rank - len(high_factors), torsion)
+
+
 def homology_invariants(d_low, d_high):
     """Invariants of Ker(d_low) / Im(d_high) for a chain-complex pair.
 
@@ -383,19 +400,4 @@ def homology_invariants(d_low, d_high):
     """
     if d_low.cols != d_high.rows:
         raise ShapeMismatchError(f"cannot multiply {d_low.shape} by {d_high.shape}")
-    low = _sparse_rows(d_low)
-    high = _sparse_rows(d_high)
-    for row in low:
-        acc = {}
-        for k, a in row.items():
-            for j, e in high[k].items():
-                acc[j] = acc.get(j, 0) + a * e
-        if any(acc.values()):
-            raise NotAComplexError("d_low @ d_high is nonzero")
-    low_rank = len(_sparse_invariant_factors(low))
-    high_factors = _sparse_invariant_factors(high)
-    return AbelianInvariants(
-        d_low.cols - low_rank - len(high_factors),
-        tuple(f for f in high_factors if f >= 2),
-    )
-
+    return _homology(_sparse_rows(d_low), _sparse_rows(d_high), d_low.cols)

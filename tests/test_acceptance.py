@@ -35,15 +35,15 @@ def _criterion(number, description, ok, detail=""):
 def test_c01_oracle_equivalence():
     failures = []
     seen = set()
-    for params in unit_pairs(14):
+    for params in unit_pairs(16):
         seen.add((params.n, params.t))
         result = check_h2_oracles(params)
         if not result.passed:
             failures.append((params.n, params.t, result.failures))
-    assert (6, 5) in seen and (8, 3) in seen and (12, 7) in seen and (14, 3) in seen
+    assert {(6, 5), (8, 3), (12, 7), (14, 3), (16, 7)} <= seen
     _criterion(
         1,
-        "three homology routes agree for every n in 1..14 and every unit t",
+        "three homology routes agree for every n in 1..16 and every unit t",
         not failures,
         str(failures[:2]),
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pathlib
@@ -8,7 +7,6 @@ import sys
 import quandlehom
 from quandlehom import cli, homology
 from quandlehom.cli import main
-from quandlehom.intlinalg import IntMatrix
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
 
 
@@ -142,19 +140,17 @@ def test_verify_refuses_negative_samples(capsys):
 
 
 def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
-    real = homology.boundary_matrices
+    real = homology._boundary_blocks
 
     def broken(quandle):
         # bump one d3 entry in a row that d2 does not kill, so d2 @ d3 != 0
-        pair = real(quandle)
-        d3 = IntMatrix(pair.d3.data)
-        for i in range(d3.rows):
-            if d3.cols and any(row[i] for row in pair.d2.data):
-                d3.data[i][0] += 1
-                break
-        return dataclasses.replace(pair, d3=d3)
+        for block, d2, d3 in real(quandle):
+            hit = next((k for row in d2 for k in row), None)
+            if hit is not None and any(d3):
+                d3[hit][0] = d3[hit].get(0, 0) + 1
+            yield block, d2, d3
 
-    monkeypatch.setattr(homology, "boundary_matrices", broken)
+    monkeypatch.setattr(homology, "_boundary_blocks", broken)
     code, report = run_cli(
         capsys, "verify", "--n-max", "3", "--word-samples", "5", "--rewrite-samples", "5"
     )
@@ -165,6 +161,33 @@ def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
     ]
     assert failed[0]["checks"] == 5
     assert "d2 @ d3 != 0" in failed[0]["failures"]
+    assert report["result"]["summary"]["failed_families"] == 1
+
+
+def test_verify_reports_boundary_term_outside_its_block(capsys, monkeypatch):
+    real = homology.orbits
+
+    def split(quandle):
+        # move the last element of the first block of two or more into a
+        # block of its own.  The table closes each true orbit, so only a
+        # wrong partition can send a term such as (x<|y, z) outside its block
+        blocks = real(quandle)
+        for i, block in enumerate(blocks):
+            if len(block) > 1:
+                return blocks[:i] + [block[:-1], block[-1:]] + blocks[i + 1 :]
+        return blocks
+
+    monkeypatch.setattr(homology, "orbits", split)
+    code, report = run_cli(
+        capsys, "verify", "--n-max", "3", "--word-samples", "5", "--rewrite-samples", "5"
+    )
+    assert code == 1
+    failed = [case for case in report["result"]["cases"] if not case["passed"]]
+    assert [(case["name"], case["context"]) for case in failed] == [
+        ("h2-oracles", {"n": 3, "t": 2})
+    ]
+    assert failed[0]["checks"] == 5
+    assert any("outside its block" in text for text in failed[0]["failures"])
     assert report["result"]["summary"]["failed_families"] == 1
 
 

@@ -1,6 +1,7 @@
 import math
 
-from quandlehom.intlinalg import AbelianInvariants, IntMatrix
+from quandlehom import homology
+from quandlehom.intlinalg import AbelianInvariants, IntMatrix, homology_invariants
 from quandlehom.homology import (
     boundary_matrices,
     h2_chain_complex,
@@ -13,6 +14,7 @@ from quandlehom.quandle import (
     build_conj,
     build_core,
     build_takasaki,
+    orbits,
 )
 from .test_quandle import cyclic_table, s3_table
 
@@ -101,6 +103,40 @@ def test_boundary_matrices_match_definition():
         assert pair.d3.shape == (len(basis2), len(basis3))
         assert pair.d2.data == d2
         assert pair.d3.data == d3
+
+
+def test_block_route_matches_unsplit_elimination():
+    # the per-orbit route against one elimination of the whole dense pair
+    corpus = [
+        build_alexander(LinearAlexanderParams(n, t))
+        for n in range(1, 9)
+        for t in range(n)
+        if math.gcd(t, n) == 1
+    ]
+    corpus += [
+        build_conj(s3_table()),
+        build_core(cyclic_table(4)),
+        build_takasaki(7),
+        build_conj(cyclic_table(5)),
+    ]
+    split = 0
+    for quandle in corpus:
+        pair = boundary_matrices(quandle)
+        assert h2_chain_complex(quandle) == homology_invariants(pair.d2, pair.d3)
+        split += len(orbits(quandle)) > 1
+    assert split >= 10
+
+
+def test_block_torsion_merges_into_invariant_factors(monkeypatch):
+    # two blocks, each with one middle generator and d3 = [2], then [3]:
+    # Z/2 + Z/3 is Z/6, which no per-block reading gives
+    def blocks(quandle):
+        yield [0], [{}], [{0: 2}]
+        yield [1], [{}], [{0: 3}]
+
+    monkeypatch.setattr(homology, "_boundary_blocks", blocks)
+    quandle = build_alexander(LinearAlexanderParams(2, 1))
+    assert h2_chain_complex(quandle) == AbelianInvariants(0, (6,))
 
 
 def test_h2_trivial_quandle():
