@@ -679,7 +679,7 @@ def check_h2_oracles(params):
             result.fail(broken if chain is None else "connected quandle has nontrivial homology")
     # NotAComplexError: d2 @ d3 != 0 on a block, or a term outside its block
     if not result.check(broken is None):
-        result.fail("d2 @ d3 != 0")
+        result.fail(broken)
     return result
 
 

@@ -2,7 +2,10 @@
 
 Every subcommand prints a single JSON report with the fixed key order
 (command, context, status, result-or-error) and integer-only numbers, so
-reports can be diffed and re-parsed byte-identically.
+reports can be diffed and re-parsed byte-identically.  A report is the
+bytes of ``json.dumps(report, indent=2)``; the private writer ``_dumps``
+emits them with one ``str.join`` per list of ints, since ``json.dumps``
+runs its pure-Python encoder whenever ``indent`` is set.
 
 ``phi-table`` computes each phi((0, a), (0, b)) from the closed form
 e_[a] + e_[b] - e_[a+b] - e_0, [x] = x mod m, and ``orbits`` lists the
@@ -29,6 +32,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .cocycle import extension_cocycle
 from .checks import run_verification
@@ -227,6 +231,66 @@ def _build_parser():
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_EMPTY = {list: "[]", dict: "{}"}
+
+
+class _IntText(dict):
+    """int -> its decimal text, made on first use: reports repeat small ints."""
+
+    def __missing__(self, value):
+        text = self[value] = int.__repr__(value)
+        return text
+
+
+def _dumps(report):
+    """The text of ``json.dumps(report, indent=2)``."""
+    return _write(report, "\n", _IntText().__getitem__)
+
+
+def _write(value, pad, int_text):
+    """``value`` as ``json.dumps(..., indent=2)`` writes it, nested at ``pad``.
+
+    ``pad`` is a newline and the indent of ``value``'s own line.  Strings,
+    ints, bools, None, lists and str-keyed dicts are written here: a list
+    of ints in one join, a list of non-empty int lists in one
+    comprehension.  Any other value goes to ``json.dumps``, re-indented to
+    ``pad``; its output holds no other newline, as strings escape theirs.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int_text(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    if not value and kind in _EMPTY:
+        return _EMPTY[kind]
+    inner = pad + "  "
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int_text, value)
+        elif kinds == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = ["[" + deeper + sep.join(map(int_text, row)) + inner + "]" for row in value]
+        else:
+            items = [_write(item, inner, int_text) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and set(map(type, value)) == {str}:
+        # a str value is encoded in place: trace steps are dicts of three strs
+        items = [
+            _encode_str(key)
+            + ": "
+            + (_encode_str(item) if type(item) is str else _write(item, inner, int_text))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -240,7 +304,7 @@ def main(argv=None):
         error = {"code": name, "message": str(exc)}
         report, code = _report(args, status="error", error=error), 3
     try:
-        print(json.dumps(report, indent=2), flush=True)
+        print(_dumps(report), flush=True)
     except BrokenPipeError:
         # the reader left: let the interpreter's last flush go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

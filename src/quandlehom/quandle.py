@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import itemgetter, ne
 
 from .errors import (
     BadModulusError,
@@ -93,6 +95,9 @@ def _as_square_table(table):
     for a, row in enumerate(table):
         if len(row) != n:
             raise TableFormatError(f"row {a} has {len(row)} entries, expected {n}")
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+            continue
+        # name the first entry that is not an int in range
         for b, e in enumerate(row):
             if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
                 raise TableFormatError(f"entry ({a},{b}) = {e!r} outside 0..{n - 1}")
@@ -103,23 +108,34 @@ def find_violation(table):
     """Return the first violated axiom of a square in-range table, or None.
 
     Checks idempotence (witness a), bijectivity of every right translation
-    (witness b), then self-distributivity (witness a, b, c).
+    (witness b), then self-distributivity (witness a, b, c, the first in
+    the order of a, then b, then c).  Self-distributivity is checked a
+    pair of columns at a time: (a<|b)<|c = (a<|c)<|(b<|c) for every a says
+    that column b followed by column c equals column c followed by column
+    b<|c.
     """
     table = _as_square_table(table)
     n = len(table)
     for a in range(n):
         if table[a][a] != a:
             return Violation("idempotence", (a,))
-    for b in range(n):
-        if len({table[a][b] for a in range(n)}) != n:
+    columns = list(zip(*table))
+    for b, column in enumerate(columns):
+        if len(set(column)) != n:
             return Violation("right-translation", (b,))
-    for a in range(n):
-        row = table[a]
-        for b in range(n):
-            ab = row[b]
-            for c in range(n):
-                if table[ab][c] != table[row[c]][table[b][c]]:
-                    return Violation("self-distributivity", (a, b, c))
+    # through[b](column) is the tuple of column[a <| b] over a; for n = 1
+    # every lhs and rhs below is the int 0, not a tuple
+    through = [itemgetter(*column) for column in columns]
+    failures = []
+    for b, then_b in enumerate(through):
+        for c, column in enumerate(columns):
+            lhs = then_b(column)
+            rhs = through[c](columns[column[b]])
+            if lhs != rhs:
+                a = next(compress(count(), map(ne, lhs, rhs)))
+                failures.append((a, b, c))
+    if failures:
+        return Violation("self-distributivity", min(failures))
     return None
 
 
@@ -230,6 +246,8 @@ def orbits(quandle):
 
 # ASCII decimal only: int() would also take "1_0" and non-ASCII digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# a whole row of them, between spaces and tabs
+_ROW = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*")
 # fields and lines split on ASCII whitespace only: str.split() and
 # str.splitlines() would also split on U+3000, U+001C and their kin
 ASCII_FIELD = re.compile(r"[^ \t\n\r\v\f]+")
@@ -264,21 +282,42 @@ def parse_table(text):
         raise TableFormatError(f"size must be >= 1, got {n}")
     if len(lines) != n + 1:
         raise TableFormatError(f"expected {n} rows after the size, got {len(lines) - 1}")
-    table = []
-    for a, line in enumerate(lines[1:]):
-        tokens = ASCII_FIELD.findall(line)
-        if len(tokens) != n:
-            raise TableFormatError(f"row {a} has {len(tokens)} entries, expected {n}")
-        row = []
-        for b, tok in enumerate(tokens):
-            if not _INTEGER.fullmatch(tok):
-                raise TableFormatError(f"entry ({a},{b}) = {tok!r} is not an integer")
-            e = _decimal(tok, f"entry ({a},{b})")
-            if not 0 <= e < n:
-                raise TableFormatError(f"entry ({a},{b}) = {e} outside 0..{n - 1}")
-            row.append(e)
-        table.append(row)
-    return table
+    return [_row(line, n) or _row_entries(a, line, n) for a, line in enumerate(lines[1:])]
+
+
+def _row(line, n):
+    """The n entries of a row of in-range ASCII decimals, else None.
+
+    Such a row holds only ASCII digits, signs, spaces and tabs, so
+    ``str.split`` and ``int`` read it as ``_row_entries`` would.
+    """
+    if not _ROW.fullmatch(line):
+        return None
+    tokens = line.split()
+    if len(tokens) != n:
+        return None
+    try:
+        row = list(map(int, tokens))
+    except ValueError:
+        # a numeral past the integer string limit
+        return None
+    return row if 0 <= min(row) and max(row) < n else None
+
+
+def _row_entries(a, line, n):
+    """The entries of row a, entry by entry: the first bad one is named."""
+    tokens = ASCII_FIELD.findall(line)
+    if len(tokens) != n:
+        raise TableFormatError(f"row {a} has {len(tokens)} entries, expected {n}")
+    row = []
+    for b, tok in enumerate(tokens):
+        if not _INTEGER.fullmatch(tok):
+            raise TableFormatError(f"entry ({a},{b}) = {tok!r} is not an integer")
+        e = _decimal(tok, f"entry ({a},{b})")
+        if not 0 <= e < n:
+            raise TableFormatError(f"entry ({a},{b}) = {e} outside 0..{n - 1}")
+        row.append(e)
+    return row
 
 
 def format_table(quandle):

@@ -425,7 +425,7 @@ def rewrite_trace(word):
 
     def central():
         # the central prefix letters lead the word, in orbit order
-        return tuple((r, prefix[r]) for r in sorted(prefix) if prefix[r])
+        return tuple((r, prefix[r]) for r in sorted(prefix))
 
     def snapshot(rule, letters, note):
         # a move that only merges letters of one color leaves no step
@@ -542,8 +542,6 @@ def rewrite_trace(word):
     # 4. cancel the central prefix into the blocks
     for r in sorted(prefix, reverse=True):
         cr = prefix.pop(r)
-        if cr == 0:
-            continue
         slot = None
         for idx, (c, _) in enumerate(body):
             if c == r:

@@ -6,6 +6,7 @@ import sys
 
 import quandlehom
 from quandlehom import cli, homology
+from quandlehom.checks import unit_pairs
 from quandlehom.cli import main
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
 
@@ -160,7 +161,8 @@ def test_verify_reports_broken_boundary_map(capsys, monkeypatch):
         ("h2-oracles", {"n": 3, "t": 2})
     ]
     assert failed[0]["checks"] == 5
-    assert "d2 @ d3 != 0" in failed[0]["failures"]
+    # each of the four checks on the chain answer prints the error's own text
+    assert failed[0]["failures"] == ["chain complex route failed: d_low @ d_high is nonzero"] * 4
     assert report["result"]["summary"]["failed_families"] == 1
 
 
@@ -326,6 +328,27 @@ def test_json_roundtrips_byte_identical(capsys):
     main(["normal-form", "--n", "4", "--t", "3", "--word", "e2 e3", "--trace"])
     out = capsys.readouterr().out
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_report_writer_equals_json_dumps():
+    values = [
+        {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]],
+        True, False, None, [True, False, None], {"ok": True, "none": None},
+        "", "caf\u00e9 \x00\x1f\x7f \u2028 \U0001f600 \"\\/",
+        {"\u00e9\n\t": "\x01", "": ""}, ["\u00e9", "\r"],
+        0, -5, 10**999, -(10**999), [10**999, -1, 0],
+        [1, "a", [2, [3]], {"b": None}, True, [], [[1], []], [[True]], [[1, True]]],
+        [[1, 2], [3], [-4]], {"m": 2, "table": [[[1, -1], [0, 0]], [[-1, 1], [0, 0]]]},
+        {1: [1, 2], "a": {None: (3, 4)}}, 1.5, [0.5, 1],
+    ]
+    for value in values:
+        assert cli._dumps(value) == json.dumps(value, indent=2), value
+    parser = cli._build_parser()
+    for params in unit_pairs(12):
+        for command in ("phi-table", "orbits"):
+            args = parser.parse_args([command, "--n", str(params.n), "--t", str(params.t)])
+            report, _ = args.handler(args)
+            assert cli._dumps(report) == json.dumps(report, indent=2), (command, params)
 
 
 def test_verify_small(capsys):

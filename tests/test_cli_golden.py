@@ -14,7 +14,7 @@ import io
 import json
 import pathlib
 
-from quandlehom.cli import main
+from quandlehom.cli import _dumps, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -34,3 +34,12 @@ def test_cli_reports_match_golden_corpus(tmp_path, monkeypatch):
             mismatches.append(case["argv"])
     assert len(corpus["cases"]) == 98
     assert not mismatches, mismatches
+
+
+def test_golden_reports_reserialize_to_their_own_bytes():
+    # README: reports re-serialize byte-identically after parsing
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    for case in corpus["cases"]:
+        report = json.loads(case["stdout"])
+        assert _dumps(report) + "\n" == case["stdout"], case["argv"]
+        assert json.dumps(report, indent=2) + "\n" == case["stdout"], case["argv"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quandlehom.checks import check_quandle_structure, unit_pairs
@@ -12,6 +14,7 @@ from quandlehom.errors import (
 from quandlehom.quandle import (
     FiniteQuandle,
     LinearAlexanderParams,
+    Violation,
     build_alexander,
     build_conj,
     build_core,
@@ -110,6 +113,73 @@ def test_find_violation_reports():
         find_violation([[0, 1], [1]])
     with pytest.raises(TableFormatError):
         find_violation([[0, 2], [1, 0]])
+
+
+def reference_violation(table):
+    """find_violation's contract, written as the plain triple loop."""
+    n = len(table)
+    for a in range(n):
+        if table[a][a] != a:
+            return Violation("idempotence", (a,))
+    for b in range(n):
+        if len({table[a][b] for a in range(n)}) != n:
+            return Violation("right-translation", (b,))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
+                    return Violation("self-distributivity", (a, b, c))
+    return None
+
+
+def test_find_violation_matches_triple_loop_on_random_tables():
+    # idempotent tables whose columns are permutations: only self-distributivity
+    # can fail, so the witness order is what is compared
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        columns = []
+        for b in range(n):
+            others = [x for x in range(n) if x != b]
+            rng.shuffle(others)
+            columns.append(others[:b] + [b] + others[b:])
+        table = [[columns[b][a] for b in range(n)] for a in range(n)]
+        expected = reference_violation(table)
+        assert find_violation(table) == expected, table
+        verdicts.add(expected and expected.axiom)
+    assert verdicts == {None, "self-distributivity"}
+
+
+def test_find_violation_matches_triple_loop_on_swapped_alexander_tables():
+    rng = random.Random(12)
+    for params in unit_pairs(12):
+        n = params.n
+        for b in range(n):
+            table = [list(row) for row in build_alexander(params).table]
+            a1, a2 = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            table[a1][b], table[a2][b] = table[a2][b], table[a1][b]
+            assert find_violation(table) == reference_violation(table), (params, b, a1, a2)
+
+
+def test_parse_table_keeps_its_texts():
+    assert parse_table("2\n-0 +1\n+1\t-0\n") == [[0, 1], [1, 0]]
+    assert parse_table("2\n\t0 \t 1\t\n1\t\t0\n") == [[0, 1], [1, 0]]
+    huge = "0" * 5000 + "1"
+    cases = [
+        ("3\n0 1 2\n1 x y\n2 0 1\n", "entry (1,1) = 'x' is not an integer"),
+        ("3\n0 1 2\n1 7 y\n2 0 1\n", "entry (1,1) = 7 outside 0..2"),
+        ("3\n0 1 2\n1 2 0\n2 0 -1\n", "entry (2,2) = -1 outside 0..2"),
+        ("3\n0 1 2\n1 2\n2 0 1\n", "row 1 has 2 entries, expected 3"),
+        (f"2\n0 {huge}\n1 x\n", "entry (0,1) has 5001 characters, past the integer string limit"),
+        (f"2\n0 1\n1 x {huge}\n", "row 1 has 3 entries, expected 2"),
+    ]
+    for text, message in cases:
+        with pytest.raises(TableFormatError) as info:
+            parse_table(text)
+        assert str(info.value) == message
+    with pytest.raises(TableFormatError, match=r"^entry \(0,1\) = True outside 0\.\.1$"):
+        FiniteQuandle([[0, True], [1, 0]])
 
 
 def test_validate_table():
