@@ -7,7 +7,6 @@ import math
 
 from quandlehom import (
     LinearAlexanderParams,
-    boundary_matrices,
     build_alexander,
     h2_chain_complex,
     h2_closed_form,
@@ -33,14 +32,6 @@ for n in range(2, 11):
         )
 print()
 print("all three routes agree on every line")
-print()
-
-# A glance at the machinery behind the chain route: the boundary pair of
-# the twist-4 quandle on Z/9 and the shape of its matrices.
-pair = boundary_matrices(build_alexander(LinearAlexanderParams(9, 4)))
-print("twist 4 on Z/9 boundary shapes:", pair.d2.shape, pair.d3.shape)
-print("first degree-2 basis labels:", pair.basis2[:6], "...")
-print("d2 composed with d3 vanishes:", not any(map(any, (pair.d2 @ pair.d3).data)))
 print()
 
 # Beyond the chain oracle's comfortable range the two closed routes still

@@ -20,7 +20,7 @@ quandle axiom; ``build_alexander`` and ``build_takasaki`` build their tables
 from formulas and do not re-check them.  The three H2 routes are separate
 functions (``h2_closed_form``, ``h2_eisermann``, ``h2_chain_complex``); the
 pullback and chain routes share only the sparse core of ``homology_invariants``,
-applied to a 1 x (m+1) pair and to each orbit block of the boundary pair.
+applied to a 1 x (m+1) pair and to each orbit block of the boundary maps.
 """
 
 from .errors import (
@@ -78,8 +78,6 @@ from .cocycle import (
     kernel_lattice_basis,
 )
 from .homology import (
-    BoundaryPair,
-    boundary_matrices,
     h2_chain_complex,
     h2_closed_form,
     h2_eisermann,
@@ -90,7 +88,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianInvariants",
     "BadModulusError",
-    "BoundaryPair",
     "EmptyRangeError",
     "FiniteQuandle",
     "IntMatrix",
@@ -112,7 +109,6 @@ __all__ = [
     "Word",
     "WordSyntaxError",
     "act",
-    "boundary_matrices",
     "build_alexander",
     "build_conj",
     "build_core",

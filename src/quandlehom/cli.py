@@ -81,12 +81,15 @@ def _cmd_h2(args):
     return _report(args, result=result), 0
 
 
-class _Tokens(dict):
-    """(color, exponent) -> the letter's text in a word, made on first use."""
+class _Texts(dict):
+    """key -> the text ``make(key)``, made on first use; a hit is a plain dict lookup."""
 
-    def __missing__(self, letter):
-        token = self[letter] = _token(*letter)
-        return token
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
 def _cmd_normal_form(args):
@@ -104,7 +107,7 @@ def _cmd_normal_form(args):
     }
     if args.trace:
         # one token table per report: a trace repeats its letters step after step
-        token = _Tokens().__getitem__
+        token = _Texts(lambda letter: _token(*letter)).__getitem__
         result["trace"] = [
             {
                 "rule": step.rule,
@@ -118,11 +121,15 @@ def _cmd_normal_form(args):
 
 def _cmd_phi_table(args):
     params = _params(args)
-    table = [
-        [list(extension_cocycle(params, (0, a), (0, b)).v) for b in range(params.n)]
-        for a in range(params.n)
+    m = params.num_orbits
+    k = params.n // m
+    # the closed form reads a and b mod m only, and m divides n: entry (a, b)
+    # is the vector of (a mod m, b mod m), so the m x m block repeats k x k times
+    rows = [
+        [list(extension_cocycle(params, (0, r), (0, s)).v) for s in range(m)] * k
+        for r in range(m)
     ]
-    return _report(args, result={"m": params.num_orbits, "table": table}), 0
+    return _report(args, result={"m": m, "table": rows * k}), 0
 
 
 def _cmd_verify(args):
@@ -236,17 +243,10 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 _EMPTY = {list: "[]", dict: "{}"}
 
 
-class _IntText(dict):
-    """int -> its decimal text, made on first use: reports repeat small ints."""
-
-    def __missing__(self, value):
-        text = self[value] = int.__repr__(value)
-        return text
-
-
 def _dumps(report):
     """The text of ``json.dumps(report, indent=2)``."""
-    return _write(report, "\n", _IntText().__getitem__)
+    # reports repeat small ints: one text each per report
+    return _write(report, "\n", _Texts(int.__repr__).__getitem__)
 
 
 def _write(value, pad, int_text):

@@ -16,7 +16,6 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotAComplexError
 from .intlinalg import AbelianInvariants, IntMatrix, _homology
@@ -24,32 +23,22 @@ from .intlinalg import homology_invariants, invariant_factors
 from .quandle import orbits
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
-    """Degree-2 and degree-3 boundary matrices with their basis labels.
-
-    Bases are the non-degenerate tuples (no two equal consecutive entries);
-    degenerate tuples are identified with zero, which is the quandle
-    quotient of the ambient rack complex.
-    """
-
-    d2: IntMatrix
-    d3: IntMatrix
-    basis1: tuple[int, ...]
-    basis2: tuple[tuple[int, int], ...]
-    basis3: tuple[tuple[int, int, int], ...]
-
-
 def _boundary_blocks(quandle):
     """(block, d2 rows, d3 rows) for each block of ``orbits(quandle)``.
 
-    Every term of d2(x, y) and d3(x, y, z) starts in the orbit of x, so
-    both maps are block diagonal.  Rows are {column: entry} dicts over the
-    bases of ``boundary_matrices`` cut to the block: with i the place of a
-    in it, the pair (a, b) is i*(n-1) + b - (b > a), the triple (x, y, z)
-    is pair(x, y)*(n-1) + z - (z > y).  Cancelling terms are dropped; by
-    the quandle axioms the rest of a column are distinct, each +-1.  A
-    term that starts outside its block raises NotAComplexError.
+    The boundary maps are d2(x, y) = (x) - (x<|y) and
+    d3(x, y, z) = (x, z) - (x<|y, z) - (x, y) + (x<|z, y<|z) on the
+    non-degenerate tuples: pairs (a, b) with a != b, and triples (x, y, z)
+    with (x, y) such a pair and y != z.  A term on a degenerate pair is
+    zero, which is the quandle quotient of the rack complex.  Every term of
+    d2(x, y) and d3(x, y, z) starts in the orbit of x, so both maps are
+    block diagonal.  A block's bases are its points and the pairs and
+    triples whose first entry lies in it: with i the place of a in the
+    block, the pair (a, b) is i*(n-1) + b - (b > a), the triple (x, y, z)
+    is pair(x, y)*(n-1) + z - (z > y).  Rows are {column: entry} dicts,
+    a d2 row for each point, a d3 row for each pair.  Cancelling terms are
+    dropped; by the quandle axioms the rest of a column are distinct, each
+    +-1.  A term that starts outside its block raises NotAComplexError.
     """
     n = quandle.n
     n1 = n - 1
@@ -90,32 +79,6 @@ def _boundary_blocks(quandle):
             a = exc.args[0]
             raise NotAComplexError(f"a term starts at {a}, outside its block {block}") from None
         yield block, d2, d3
-
-
-def boundary_matrices(quandle):
-    """Boundary maps d2(x,y) = (x) - (x<|y) and
-    d3(x,y,z) = (x,z) - (x<|y, z) - (x,y) + (x<|z, y<|z).
-
-    Terms that land on a degenerate pair are dropped.  The returned pair
-    composes to zero.  It is the dense view of the chain route's blocks.
-    """
-    n = quandle.n
-    n1 = n - 1
-    basis2 = tuple((x, y) for x in range(n) for y in range(n) if x != y)
-    basis3 = tuple((x, y, z) for x, y in basis2 for z in range(n) if y != z)
-    d2 = [[0] * len(basis2) for _ in range(n)]
-    d3 = [[0] * len(basis3) for _ in basis2]
-    for block, low, high in _boundary_blocks(quandle):
-        # the block's pair i*n1 + r is the pair block[i]*n1 + r of basis2
-        pairs = [x * n1 + r for x in block for r in range(n1)]
-        for x, row in zip(block, low):
-            for j, e in row.items():
-                d2[x][pairs[j]] = e
-        for i, row in zip(pairs, high):
-            for j, e in row.items():
-                d3[i][pairs[j // n1] * n1 + j % n1] = e
-    d2, d3 = IntMatrix._adopt(d2, len(basis2)), IntMatrix._adopt(d3, len(basis3))
-    return BoundaryPair(d2, d3, tuple(range(n)), basis2, basis3)
 
 
 def h2_chain_complex(quandle):

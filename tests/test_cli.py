@@ -7,6 +7,7 @@ import sys
 import quandlehom
 from quandlehom import cli, homology
 from quandlehom.checks import unit_pairs
+from quandlehom.cocycle import extension_cocycle
 from quandlehom.cli import main
 from quandlehom.quandle import LinearAlexanderParams, build_alexander, format_table
 
@@ -77,6 +78,19 @@ def test_phi_table(capsys):
     for a in range(4):
         assert table[a][0] == [0, 0]
         assert table[0][a] == [0, 0]
+    # the command repeats the m x m residue block; the reference asks the
+    # closed form once per entry
+    parser = cli._build_parser()
+    for params in unit_pairs(12):
+        args = parser.parse_args(["phi-table", "--n", str(params.n), "--t", str(params.t)])
+        report, code = args.handler(args)
+        n = params.n
+        table = [
+            [list(extension_cocycle(params, (0, a), (0, b)).v) for b in range(n)]
+            for a in range(n)
+        ]
+        assert code == 0
+        assert report["result"] == {"m": params.num_orbits, "table": table}, params
 
 
 def test_axioms_valid(tmp_path, capsys):

@@ -2,12 +2,7 @@ import math
 
 from quandlehom import homology
 from quandlehom.intlinalg import AbelianInvariants, IntMatrix, homology_invariants
-from quandlehom.homology import (
-    boundary_matrices,
-    h2_chain_complex,
-    h2_closed_form,
-    h2_eisermann,
-)
+from quandlehom.homology import h2_chain_complex, h2_closed_form, h2_eisermann
 from quandlehom.quandle import (
     LinearAlexanderParams,
     build_alexander,
@@ -17,46 +12,6 @@ from quandlehom.quandle import (
     orbits,
 )
 from .test_quandle import cyclic_table, s3_table
-
-
-def test_boundary_shapes_and_labels():
-    q = build_alexander(LinearAlexanderParams(2, 1))
-    pair = boundary_matrices(q)
-    assert len(pair.basis2) == 2  # n^2 - n
-    assert pair.d2.shape == (2, 2)
-    assert pair.d3.shape == (2, len(pair.basis3))
-    assert pair.basis1 == (0, 1)
-
-
-def test_trivial_quandle_has_zero_d2():
-    q = build_alexander(LinearAlexanderParams(3, 1))
-    d2 = boundary_matrices(q).d2
-    assert d2 == IntMatrix.zeros(*d2.shape)
-
-
-def test_d2_column_entries():
-    # column of (1, 2) in Al(4, 3): +1 at (1), -1 at (1 <| 2) = (3)
-    q = build_alexander(LinearAlexanderParams(4, 3))
-    pair = boundary_matrices(q)
-    j = pair.basis2.index((1, 2))
-    column = [row[j] for row in pair.d2.data]
-    expected = [0, 1, 0, -1]
-    assert column == expected
-
-
-def test_boundaries_compose_to_zero_on_corpus():
-    corpus = [
-        build_alexander(LinearAlexanderParams(6, 5)),
-        build_alexander(LinearAlexanderParams(8, 3)),
-        build_takasaki(7),
-        build_conj(s3_table()),
-        build_core(cyclic_table(4)),
-        build_conj(cyclic_table(5)),
-    ]
-    for quandle in corpus:
-        pair = boundary_matrices(quandle)
-        product = pair.d2 @ pair.d3
-        assert product == IntMatrix.zeros(*product.shape)
 
 
 def _boundary_by_definition(quandle):
@@ -84,10 +39,37 @@ def _boundary_by_definition(quandle):
     return d2, d3, tuple(basis2), tuple(basis3)
 
 
-def test_boundary_matrices_match_definition():
-    # tables from outside as well as formula-built ones: the arithmetic
-    # position of a pair in basis2 must not depend on how the table arose
+def test_boundaries_compose_to_zero_on_corpus():
     corpus = [
+        build_alexander(LinearAlexanderParams(6, 5)),
+        build_alexander(LinearAlexanderParams(8, 3)),
+        build_takasaki(7),
+        build_conj(s3_table()),
+        build_core(cyclic_table(4)),
+        build_conj(cyclic_table(5)),
+    ]
+    for quandle in corpus:
+        d2, d3, _, _ = _boundary_by_definition(quandle)
+        product = IntMatrix(d2) @ IntMatrix(d3)
+        assert product == IntMatrix.zeros(*product.shape)
+        # raises NotAComplexError unless each block's sparse d2 @ d3 is 0
+        h2_chain_complex(quandle)
+
+
+def _take(row, columns):
+    # the entries of a dense row at columns, as {place: entry}; zeroes them
+    taken = {k: row[j] for k, j in enumerate(columns) if row[j]}
+    for j in columns:
+        row[j] = 0
+    return taken
+
+
+def test_boundary_blocks_match_definition():
+    # tables from outside as well as formula-built ones: the arithmetic
+    # position of a pair in a block must not depend on how the table arose
+    corpus = [
+        build_alexander(LinearAlexanderParams(3, 1)),  # trivial: d2 is zero
+        build_alexander(LinearAlexanderParams(4, 3)),
         build_conj(s3_table()),
         build_core(cyclic_table(4)),
         build_takasaki(7),
@@ -95,14 +77,26 @@ def test_boundary_matrices_match_definition():
         build_alexander(LinearAlexanderParams(9, 4)),
     ]
     for quandle in corpus:
+        n = quandle.n
         d2, d3, basis2, basis3 = _boundary_by_definition(quandle)
-        pair = boundary_matrices(quandle)
-        assert isinstance(pair.d2, IntMatrix) and isinstance(pair.d3, IntMatrix)
-        assert pair.basis2 == basis2 and pair.basis3 == basis3
-        assert pair.d2.shape == (quandle.n, len(basis2))
-        assert pair.d3.shape == (len(basis2), len(basis3))
-        assert pair.d2.data == d2
-        assert pair.d3.data == d3
+        index2 = {pair: i for i, pair in enumerate(basis2)}
+        index3 = {triple: j for j, triple in enumerate(basis3)}
+        points = []
+        for block, low, high in homology._boundary_blocks(quandle):
+            # the block's basis order: pairs by the place of their first point
+            pairs = [index2[a, b] for a in block for b in range(n) if b != a]
+            triples = [
+                index3[x, y, z]
+                for x, y in map(basis2.__getitem__, pairs)
+                for z in range(n)
+                if z != y
+            ]
+            assert low == [_take(d2[x], pairs) for x in block]
+            assert high == [_take(d3[i], triples) for i in pairs]
+            points += block
+        assert sorted(points) == list(range(n))
+        # every entry outside the blocks is zero
+        assert not any(map(any, d2 + d3))
 
 
 def test_block_route_matches_unsplit_elimination():
@@ -121,8 +115,8 @@ def test_block_route_matches_unsplit_elimination():
     ]
     split = 0
     for quandle in corpus:
-        pair = boundary_matrices(quandle)
-        assert h2_chain_complex(quandle) == homology_invariants(pair.d2, pair.d3)
+        d2, d3, _, _ = _boundary_by_definition(quandle)
+        assert h2_chain_complex(quandle) == homology_invariants(IntMatrix(d2), IntMatrix(d3))
         split += len(orbits(quandle)) > 1
     assert split >= 10
 

@@ -83,6 +83,8 @@ def test_formula_tables_skip_the_axiom_check(monkeypatch):
 def test_outside_tables_are_still_checked(tmp_path, capsys):
     with pytest.raises(QuandleAxiomError):
         FiniteQuandle([[1, 0], [1, 0]])
+    with pytest.raises(TableFormatError, match=r"^a quandle is non-empty$"):
+        FiniteQuandle([])
     with pytest.raises(TableFormatError, match=r"^row 1 has 1 entries, expected 2$"):
         FiniteQuandle([[0, 1], [1]])
     with pytest.raises(TableFormatError, match=r"^entry \(0,1\) = 2 outside 0\.\.1$"):
@@ -183,8 +185,14 @@ def test_parse_table_keeps_its_texts():
 
 
 def test_validate_table():
-    q = FiniteQuandle(build_alexander(LinearAlexanderParams(4, 3)).table)
+    formula = build_alexander(LinearAlexanderParams(4, 3))
+    q = FiniteQuandle(formula.table)
     assert isinstance(q, FiniteQuandle)
+    # equal tables are equal quandles, one set or dict key
+    assert q == formula and hash(q) == hash(formula)
+    assert len({q, formula, build_takasaki(4)}) == 1
+    assert q != build_alexander(LinearAlexanderParams(4, 1))
+    assert repr(q) == "FiniteQuandle(n=4)"
     with pytest.raises(QuandleAxiomError) as info:
         FiniteQuandle([[1, 0], [1, 0]])
     assert info.value.axiom == "idempotence"
@@ -213,6 +221,11 @@ def test_not_a_group():
         build_conj([[1, 0], [0, 0]])  # no identity element... 1*1=0, 0*0=1
     with pytest.raises(NotAGroupError):
         build_core([[0, 1, 2], [1, 0, 0], [2, 0, 0]])  # not associative
+    for table in ([[0, 2], [1, 0]], [[0, 1], [1]]):
+        with pytest.raises(NotAGroupError, match=r"^row \d is not over 0\.\.1$"):
+            build_conj(table)
+    with pytest.raises(NotAGroupError, match="^empty table$"):
+        build_conj([])
 
 
 def test_orbits_examples():

@@ -261,6 +261,12 @@ def test_semidirect_arithmetic():
     assert collapse(x * y) == (2, 1)
     assert collapse(y.inverse()) == (-1, 1)
     assert y * y.inverse() == PackedElement.identity(P43)
+    # the law is that of one quandle: factors from another are refused
+    other = LinearAlexanderParams(8, 3)
+    with pytest.raises(ValueError, match="^elements from different quandles$"):
+        x * PackedElement.identity(other)
+    with pytest.raises(ValueError, match="^words from different quandles$"):
+        section(P43, 1, 0) * section(other, 1, 0)
     for a in range(4):
         for p in range(-2, 3):
             for c in range(4):
