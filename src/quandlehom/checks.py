@@ -31,6 +31,7 @@ from .words import (
     act,
     canonical_word,
     generator,
+    inverse_letters,
     merge_letters,
     rewrite_trace,
     section,
@@ -281,10 +282,6 @@ def check_central_power(params):
     return result
 
 
-def _inverse(letters):
-    return tuple([(c, -e) for c, e in reversed(letters)])
-
-
 def _cyclic_difference(before, after):
     """after * before^-1 in the free group on the colors, cyclically reduced.
 
@@ -293,7 +290,7 @@ def _cyclic_difference(before, after):
     right to left): the context P and S drops out, and so do merges and
     cancellations of adjacent letters of one color.
     """
-    d = merge_letters(after.letters + _inverse(before.letters))
+    d = merge_letters(after.letters + inverse_letters(before.letters))
     i, j = 0, len(d) - 1
     while i < j and d[i][0] == d[j][0]:
         total = d[i][1] + d[j][1]
@@ -344,9 +341,9 @@ def _peel(letters, back):
     return c, letters[:-1] + rest if back else rest + letters[1:]
 
 
-def _is_run_shift(params, new, old):
-    # positive words old = e_z e_x^(k-1) e_y and new = e_r^k e_{y'} with
-    # r = x mod m, z = x mod m, and the same value (which fixes y')
+def _is_run_shift(m, new, old):
+    # positive words of the shapes old = e_z e_x^(k-1) e_y and
+    # new = e_r^k e_{y'} with r = x mod m and z = x mod m
     new, old = merge_letters(new), merge_letters(old)
     _, run = _peel(new, back=True)
     z, rest = _peel(old, back=False)
@@ -355,27 +352,29 @@ def _is_run_shift(params, new, old):
     _, middle = _peel(rest, back=True)
     (r, k), = run
     x, count = middle[0] if middle else (z, 0)
-    m = params.num_orbits
-    if len(middle) > 1 or count != k - 1 or r != x % m or z % m != r:
-        return False
-    same = word_eval(Word._adopt(params, new + _inverse(old)))
-    return same.a == 0 and not any(same.v)
+    return len(middle) <= 1 and count == k - 1 and r == x % m and z % m == r
 
 
 def _is_relation(params, diff):
+    # both sides must have the same value, which fixes y'; every reading
+    # below is a conjugate of diff or of its inverse, so one test serves all
+    same = word_eval(Word._adopt(params, diff))
+    if same.a or any(same.v):
+        return False
     signs = [e > 0 for _, e in diff]
     starts = [j for j in range(len(diff)) if signs[j] and not signs[j - 1]]
     if len(starts) != 1:
         return False
     rotated = diff[starts[0] :] + diff[: starts[0]]
     count = sum(signs)
-    positive, negative = rotated[:count], _inverse(rotated[count:])
+    positive, negative = rotated[:count], inverse_letters(rotated[count:])
     # the common first unit e_r and last unit e_y = e_{y'} of the two sides
     # cancel in the difference; put them back (the last unit's color is free)
+    m = params.num_orbits
     for new, old in ((positive, negative), (negative, positive)):
         for head in ((), ((new[0][0], 1),)):
             for tail in ((), ((0, 1),)):
-                if _is_run_shift(params, head + new + tail, head + old + tail):
+                if _is_run_shift(m, head + new + tail, head + old + tail):
                     return True
     return False
 
@@ -444,19 +443,19 @@ def check_rewriting(params, rng, samples=100):
     for _ in range(samples):
         w = _random_word(params, rng, 12)
         packed = word_eval(w)
-        cw = canonical_word(packed)
-        packed_cw = word_eval(cw)
-        if not result.check(packed_cw == packed):
-            result.fail(f"canonical word of {w} evaluates differently")
-        if not result.check(canonical_word(packed_cw).letters == cw.letters):
-            result.fail(f"canonical word of {w} is not a fixed point")
+        # the value and fixed-point checks prove final == canonical_word(packed)
         final, steps = rewrite_trace(w)
-        if not result.check(final.letters == cw.letters and _ends_at(w, final, steps)):
+        packed_final = word_eval(final)
+        if not result.check(packed_final == packed):
+            result.fail(f"canonical word of {w} evaluates differently")
+        if not result.check(canonical_word(packed_final).letters == final.letters):
+            result.fail(f"canonical word of {w} is not a fixed point")
+        if not result.check(_ends_at(w, final, steps)):
             result.fail(f"rewriting of {w} disagrees with the canonical word")
         for step, problem in _step_problems(w, steps):
             if not result.check(word_eval(step.word) == packed and problem is None):
                 result.fail(f"step {step.rule} of {w}: {problem or 'the value changed'}")
-        if cw.letters == w.letters:
+        if final.letters == w.letters:
             if not result.check(steps == ()):
                 result.fail(f"canonical input {w} produced a nonempty trace")
     return result

@@ -93,7 +93,7 @@ def h2_chain_complex(quandle):
     rank = 0
     torsion = []
     for _, d2, d3 in _boundary_blocks(quandle):
-        part = _homology(d2, d3, len(d3))
+        part = _homology(d2, d3)
         rank += part.rank
         torsion += part.torsion
     diagonal = [[t * (i == j) for j in range(len(torsion))] for i, t in enumerate(torsion)]

@@ -365,9 +365,9 @@ def invariant_factors(matrix):
     return _sparse_invariant_factors(_sparse_rows(matrix))
 
 
-def _homology(low, high, middle):
-    """``homology_invariants`` on the sparse rows ``low`` and ``high``, which
-    meet in a middle degree of rank ``middle``; both are eliminated in place.
+def _homology(low, high):
+    """``homology_invariants`` on the sparse rows ``low`` and ``high``, one row
+    of ``high`` per basis element of the middle degree, eliminated in place.
     """
     for row in low:
         acc = {}
@@ -379,7 +379,7 @@ def _homology(low, high, middle):
     low_rank = len(_sparse_invariant_factors(low))
     high_factors = _sparse_invariant_factors(high)
     torsion = tuple(f for f in high_factors if f >= 2)
-    return AbelianInvariants(middle - low_rank - len(high_factors), torsion)
+    return AbelianInvariants(len(high) - low_rank - len(high_factors), torsion)
 
 
 def homology_invariants(d_low, d_high):
@@ -400,4 +400,4 @@ def homology_invariants(d_low, d_high):
     """
     if d_low.cols != d_high.rows:
         raise ShapeMismatchError(f"cannot multiply {d_low.shape} by {d_high.shape}")
-    return _homology(_sparse_rows(d_low), _sparse_rows(d_high), d_low.cols)
+    return _homology(_sparse_rows(d_low), _sparse_rows(d_high))

@@ -95,9 +95,7 @@ class Word:
         return Word._adopt(self.params, self.letters + other.letters)
 
     def inverse(self):
-        return Word._adopt(
-            self.params, tuple((c, -e) for c, e in reversed(self.letters))
-        )
+        return Word._adopt(self.params, inverse_letters(self.letters))
 
     def __str__(self):
         return format_word(self)
@@ -147,10 +145,12 @@ def parse_word(text, params):
     return Word._adopt(params, tuple(letters))
 
 
+def _token(color, exp=1):
+    return f"e{color}" if exp == 1 else f"e{color}^{exp}"
+
+
 def format_word(word):
-    return " ".join(
-        f"e{c}" if e == 1 else f"e{c}^{e}" for c, e in word.letters
-    )
+    return " ".join([_token(c, e) for c, e in word.letters])
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,8 @@ def word_eval(word):
     n, t, m = params.n, params.t, params.num_orbits
     v = [0] * m
     a = 0
-    # unit letters fold without pow; other exponents are looked up once
-    # per word: exp -> (t^exp, q(exp))
-    t_inv = consts = None
+    # unit letters, most of those met, fold without pow
+    t_inv = None
     for color, exp in word.letters:
         v[color % m] += exp
         if exp == 1:
@@ -238,12 +237,7 @@ def word_eval(word):
                 t_inv = pow(t, -1, n)
             a = t_inv * (a - color) % n
         else:
-            if consts is None:
-                consts = {}
-            c = consts.get(exp)
-            if c is None:
-                c = consts[exp] = (pow(t, exp, n), geometric_sum(t, exp, n))
-            a = (c[0] * a + c[1] * color) % n
+            a = (pow(t, exp, n) * a + geometric_sum(t, exp, n) * color) % n
     return PackedElement._adopt(params, tuple(v), a)
 
 
@@ -319,6 +313,11 @@ class RewriteStep:
     note: str = ""
 
 
+def inverse_letters(letters):
+    """The letters of the inverse word: reversed, with negated exponents."""
+    return tuple([(c, -e) for c, e in reversed(letters)])
+
+
 def merge_letters(letters):
     """Merge adjacent letters of one color, dropping those that cancel.
 
@@ -370,10 +369,6 @@ def _join(*parts):
             joined.pop()
         joined += part[j:] if j else part
     return tuple(joined)
-
-
-def _token(color, exp=1):
-    return f"e{color}" if exp == 1 else f"e{color}^{exp}"
 
 
 def rewrite_trace(word):

@@ -14,12 +14,13 @@ import io
 import json
 import pathlib
 
+from quandlehom import quandle
 from quandlehom.cli import _dumps, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 
-def test_cli_reports_match_golden_corpus(tmp_path, monkeypatch):
+def _replay(tmp_path, monkeypatch):
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     for name, text in corpus["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -34,6 +35,18 @@ def test_cli_reports_match_golden_corpus(tmp_path, monkeypatch):
             mismatches.append(case["argv"])
     assert len(corpus["cases"]) == 98
     assert not mismatches, mismatches
+
+
+def test_cli_reports_match_golden_corpus(tmp_path, monkeypatch):
+    _replay(tmp_path, monkeypatch)
+
+
+def test_entry_reader_alone_reads_every_table(tmp_path, monkeypatch):
+    # parse_table reads a row entry by entry when the fast reader refuses
+    # it; refusing every row must give the same rows and name the same
+    # first bad entry of each broken table
+    monkeypatch.setattr(quandle, "_row", lambda line, n: None)
+    _replay(tmp_path, monkeypatch)
 
 
 def test_golden_reports_reserialize_to_their_own_bytes():

@@ -13,8 +13,9 @@ import random
 import pytest
 
 from quandlehom import checks
+from quandlehom.checks import trace_violation
 from quandlehom.quandle import LinearAlexanderParams, Violation, build_alexander
-from quandlehom.words import PackedElement, Word, word_eval
+from quandlehom.words import PackedElement, RewriteStep, Word, rewrite_trace, word_eval
 
 P43 = LinearAlexanderParams(4, 3)
 P4_1 = LinearAlexanderParams(4, 1)  # the trivial quandle on 4 points
@@ -198,3 +199,106 @@ def test_kernel_generation_faults_are_caught(monkeypatch, name, fault, params):
     monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
     result = checks.check_kernel_generation(params)
     assert len(result.failures) == 1 and result.checks == 1
+
+
+REWRITE_SEED, REWRITE_SAMPLES = 0, 20
+# the first sample drawn from REWRITE_SEED at (4, 3); its trace has 6 steps
+FIRST = "e3 e2^-1 e3^-1 e3^-1 e1 e2"
+
+
+def _rewriting_under(monkeypatch, name, fault):
+    # the clean run, then the same samples with ``fault`` planted in place of
+    # checks.<name>; every expectation must still be counted
+    clean = checks.check_rewriting(P43, random.Random(REWRITE_SEED), REWRITE_SAMPLES)
+    assert clean.passed and clean.checks == 192
+    monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
+    result = checks.check_rewriting(P43, random.Random(REWRITE_SEED), REWRITE_SAMPLES)
+    assert result.checks == clean.checks
+    return result.failures
+
+
+def test_rewriting_catches_a_final_word_of_another_value(monkeypatch):
+    def planted(real):
+        def rewrite(w):
+            final, steps = real(w)
+            if not steps:
+                return final, steps
+            return Word(P43, final.letters + ((1, 1),)), steps
+
+        return rewrite
+
+    failures = _rewriting_under(monkeypatch, "rewrite_trace", planted)
+    assert failures[:2] == [
+        f"canonical word of {FIRST} evaluates differently",
+        f"rewriting of {FIRST} disagrees with the canonical word",
+    ]
+
+
+def test_rewriting_catches_a_canonical_word_that_is_no_fixed_point(monkeypatch):
+    # the fixed-point check is the only one that asks canonical_word
+    def planted(real):
+        return lambda packed: Word(packed.params, ())
+
+    failures = _rewriting_under(monkeypatch, "canonical_word", planted)
+    assert failures[0] == (
+        "canonical word of e0^-1 e1^-1 e0 e2^-1 e0^-1 e3^-1 e1^-1 e3^-1 e0 e0^-1 "
+        "e0^-1 e2 is not a fixed point"
+    )
+    assert all(f.endswith(" is not a fixed point") for f in failures)
+
+
+def test_rewriting_catches_a_wrong_rule_name(monkeypatch):
+    def planted(real):
+        def rewrite(w):
+            final, steps = real(w)
+            return final, tuple(
+                RewriteStep("central-power", s.word, s.note) if s.rule == "braid" else s
+                for s in steps
+            )
+
+        return rewrite
+
+    failures = _rewriting_under(monkeypatch, "rewrite_trace", planted)
+    assert failures[0] == (
+        f"step central-power of {FIRST}: {FIRST} -> e3^-1 e1 e0^-1 e2 "
+        "is not one central-power step"
+    )
+    assert all(f.startswith("step central-power of ") for f in failures)
+
+
+def test_rewriting_catches_a_trace_that_hands_back_its_input(monkeypatch):
+    # the trace stops one step short and returns its input as the final
+    # word, so the sample is counted as a canonical input with k - 1 steps
+    def planted(real):
+        def rewrite(w):
+            final, steps = real(w)
+            return (w, steps[:-1]) if steps else (final, steps)
+
+        return rewrite
+
+    failures = _rewriting_under(monkeypatch, "rewrite_trace", planted)
+    assert failures[:3] == [
+        f"canonical word of {FIRST} is not a fixed point",
+        f"rewriting of {FIRST} disagrees with the canonical word",
+        f"canonical input {FIRST} produced a nonempty trace",
+    ]
+
+
+def test_relation_refuses_a_braid_by_its_run_count(monkeypatch):
+    # step 1 braids e6^-1 past the mixed-sign block e2^-2 e4 e3^-1: the
+    # difference keeps the value but has two positive runs, so the relation
+    # test refuses it before any shape is tried
+    params = LinearAlexanderParams(9, 4)
+    word = Word(params, ((6, -1), (6, -1), (2, -1), (1, 1), (2, -1), (3, -1), (6, -1)))
+    final, steps = rewrite_trace(word)
+    assert [step.rule for step in steps[:2]] == ["braid", "braid"]
+    forged = (steps[0], RewriteStep("relation", steps[1].word, steps[1].note)) + steps[2:]
+
+    def no_shape(m, new, old):
+        raise AssertionError("a shape was tried")
+
+    monkeypatch.setattr(checks, "_is_run_shift", no_shape)
+    assert trace_violation(word, final, forged) == (
+        "step 1: e6^-2 e2^-2 e4 e3^-1 e6^-1 -> e6^-1 e2^-2 e4 e6^-1 e3^-1 e6^-1 "
+        "is not one relation step"
+    )
