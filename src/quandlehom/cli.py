@@ -25,8 +25,6 @@ whitespace; ``_`` separators, other digits and other whitespace (such as
 U+3000) are refused.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -97,7 +95,7 @@ def _cmd_normal_form(args):
     word = parse_word(args.word, params)
     packed = word_eval(word)
     if args.trace:
-        canonical, steps = rewrite_trace(word)
+        canonical, steps = rewrite_trace(word, packed)
     else:
         canonical = canonical_word(packed)
     result = {

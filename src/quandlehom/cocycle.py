@@ -14,8 +14,6 @@ The value depends only on the two weights, so the degree-zero table of
 ``phi-table`` is ``extension_cocycle(params, (0, a), (0, b))``.
 """
 
-from __future__ import annotations
-
 from .words import PackedElement
 
 

@@ -13,8 +13,6 @@ All three must agree; the verification suite sweeps them against each
 other.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import NotAComplexError

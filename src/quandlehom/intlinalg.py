@@ -17,12 +17,10 @@ same rows to the unit-pivot elimination, which keeps them in buckets by
 length.  ``homology_invariants`` feeds it a dense pair's rows.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from itertools import compress
 
+from ._record import _Record
 from .errors import (
     NotAComplexError,
     BadModulusError,
@@ -108,8 +106,7 @@ def _identity_rows(size, width):
     return [[int(i == j) for j in range(width)] for i in range(size)]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(_Record):
     """Diagonalization d = u @ matrix @ v with u, v unimodular.
 
     ``v_inv`` and ``u_inv`` are the inverses of ``v`` and ``u``; each comes
@@ -118,15 +115,13 @@ class SmithForm:
     Transform fields are None unless transforms were requested.
     """
 
-    d: IntMatrix
-    u: IntMatrix | None = None
-    v: IntMatrix | None = None
-    v_inv: IntMatrix | None = None
-    u_inv: IntMatrix | None = None
+    __slots__ = _fields = ("d", "u", "v", "v_inv", "u_inv")
+
+    def __init__(self, d, u=None, v=None, v_inv=None, u_inv=None):
+        self._fill(d, u, v, v_inv, u_inv)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(_Record):
     """Canonical form of a finitely generated abelian group.
 
     ``rank`` counts free summands; ``torsion`` is the invariant-factor
@@ -134,18 +129,18 @@ class AbelianInvariants:
     isomorphic iff their invariants compare equal.
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for i, t in enumerate(self.torsion):
+        torsion = tuple(torsion)
+        for i, t in enumerate(torsion):
             if t < 2:
                 raise ValueError(f"torsion factor {t} is not >= 2")
-            if i and self.torsion[i - 1] != 0 and t % self.torsion[i - 1]:
-                raise ValueError(f"torsion chain broken: {self.torsion}")
+            if i and torsion[i - 1] != 0 and t % torsion[i - 1]:
+                raise ValueError(f"torsion chain broken: {torsion}")
+        self._fill(rank, torsion)
 
     def __str__(self):
         parts = []

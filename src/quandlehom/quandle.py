@@ -12,14 +12,12 @@ constructors skip the O(n^3) check; ``checks.check_quandle_structure``
 proves the formula explicitly.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import itemgetter, ne
 
+from ._record import _Record
 from .errors import (
     BadModulusError,
     NotAGroupError,
@@ -29,34 +27,44 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """First failed quandle axiom, with the witnessing indices."""
 
-    axiom: str
-    witness: tuple[int, ...]
+    __slots__ = _fields = ("axiom", "witness")
+
+    def __init__(self, axiom, witness):
+        self._fill(axiom, witness)
 
 
-@dataclass(frozen=True)
-class LinearAlexanderParams:
+class LinearAlexanderParams(_Record):
     """Modulus n and twist t of the quandle a <| b = t*a + (1-t)*b on Z/n.
 
     The twist is stored reduced mod n and must be a unit so that
-    multiplication by t is an automorphism of Z/n.
+    multiplication by t is an automorphism of Z/n.  ``num_orbits`` follows
+    from n and t, so it is neither compared nor printed.
     """
 
-    n: int
-    t: int
-    num_orbits: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "t", "num_orbits")
+    _fields = ("n", "t")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadModulusError(f"modulus must be >= 1, got {self.n}")
-        object.__setattr__(self, "t", self.t % self.n)
-        if math.gcd(self.t, self.n) != 1:
-            raise NotAUnitError(f"t={self.t} is not a unit modulo {self.n}")
+    def __init__(self, n, t):
+        if n < 1:
+            raise BadModulusError(f"modulus must be >= 1, got {n}")
+        t %= n
+        if math.gcd(t, n) != 1:
+            raise NotAUnitError(f"t={t} is not a unit modulo {n}")
         # the image of 1-t is gcd(n, 1-t)Z/n, so the orbit count is that gcd
-        object.__setattr__(self, "num_orbits", math.gcd(self.n, (1 - self.t) % self.n))
+        self._fill(n, t, math.gcd(n, (1 - t) % n))
+
+    # == and hash are written out here and in Word and PackedElement, which
+    # products and checks compare: the generic ones cost ~100 ns more
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.n == other.n and self.t == other.t)
+
+    def __hash__(self):
+        return hash((self.n, self.t))
 
 
 class FiniteQuandle:

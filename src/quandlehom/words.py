@@ -16,19 +16,17 @@ a word is ``word_eval(word)`` collapsed to Z x| Z/n, and ``canonical_word``
 weighs its letter blocks with ``word_eval`` too.
 """
 
-from __future__ import annotations
-
 import re
 import sys
-from dataclasses import dataclass
 
+from ._record import _Record
 from .errors import (
     LengthMismatchError,
     NotInImageError,
     WordSyntaxError,
 )
 from .intlinalg import multiplicative_order
-from .quandle import ASCII_FIELD, LinearAlexanderParams
+from .quandle import ASCII_FIELD
 
 
 def geometric_sum(t, k, n):
@@ -55,8 +53,7 @@ def _require_ints(what, values):
             raise TypeError(f"{what} entries must be int, got {x!r}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """Product of signed generators, stored run-length as (color, exponent).
 
     Colors lie in 0..n-1 and exponents are nonzero; adjacent letters of the
@@ -65,29 +62,35 @@ class Word:
     the package builds (parsed, canonical, traced) are adopted unchecked.
     """
 
-    params: LinearAlexanderParams
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("params", "letters")
 
-    def __post_init__(self):
-        n = self.params.n
-        letters = tuple((c, e) for c, e in self.letters)
+    def __init__(self, params, letters=()):
+        n = params.n
+        letters = tuple((c, e) for c, e in letters)
         for c, e in letters:
             _require_ints("letter", (c, e))
             if not 0 <= c < n:
                 raise WordSyntaxError(f"color {c} outside 0..{n - 1}")
             if e == 0:
                 raise WordSyntaxError("letter exponents must be nonzero")
-        object.__setattr__(self, "letters", letters)
+        self._fill(params, letters)
 
-    @classmethod
-    def _adopt(cls, params, letters):
+    @staticmethod
+    def _adopt(params, letters):
         """Unchecked: ``letters`` is a package-built tuple of valid int pairs."""
-        word = object.__new__(cls)
-        # frozen blocks setattr, not the instance dict
-        fields = word.__dict__
-        fields["params"] = params
-        fields["letters"] = letters
+        word = _new(Word)
+        _set_word_params(word, params)
+        _set_letters(word, letters)
         return word
+
+    # written out, as in LinearAlexanderParams
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.params, self.letters))
 
     def __mul__(self, other):
         if self.params != other.params:
@@ -99,6 +102,12 @@ class Word:
 
     def __str__(self):
         return format_word(self)
+
+
+# _adopt's constructor and slot setters, looked up once: a lookup per call
+# slows word_eval
+_new = object.__new__
+_set_word_params, _set_letters = Word._setters
 
 
 _TOKEN = re.compile(r"e(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
@@ -153,8 +162,7 @@ def format_word(word):
     return " ".join([_token(c, e) for c, e in word.letters])
 
 
-@dataclass(frozen=True)
-class PackedElement:
+class PackedElement(_Record):
     """Pair (v, a): per-orbit signed letter counts plus the weight.
 
     The product rule is (v, a)(w, b) = (v + w, t^|w| a + b) with |w| the sum
@@ -164,29 +172,33 @@ class PackedElement:
     products, inverses, cocycle values) are adopted unchecked.
     """
 
-    params: LinearAlexanderParams
-    v: tuple[int, ...]
-    a: int
+    __slots__ = _fields = ("params", "v", "a")
 
-    def __post_init__(self):
-        m = self.params.num_orbits
-        v = tuple(self.v)
+    def __init__(self, params, v, a):
+        m = params.num_orbits
+        v = tuple(v)
         _require_ints("vector", v)
-        _require_ints("weight", (self.a,))
+        _require_ints("weight", (a,))
         if len(v) != m:
             raise LengthMismatchError(f"vector has {len(v)} entries, expected {m}")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", self.a % self.params.n)
+        self._fill(params, v, a % params.n)
 
-    @classmethod
-    def _adopt(cls, params, v, a):
+    @staticmethod
+    def _adopt(params, v, a):
         """Unchecked: ``v`` is a package-built tuple of m ints, 0 <= a < n."""
-        packed = object.__new__(cls)
-        fields = packed.__dict__
-        fields["params"] = params
-        fields["v"] = v
-        fields["a"] = a
+        packed = _new(PackedElement)
+        _set_params(packed, params)
+        _set_v(packed, v)
+        _set_a(packed, a)
         return packed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.v == other.v and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.params, self.v, self.a))
 
     @property
     def degree(self):
@@ -213,6 +225,9 @@ class PackedElement:
             tuple(-x for x in self.v),
             -pow(t, -self.degree, n) * self.a % n,
         )
+
+
+_set_params, _set_v, _set_a = PackedElement._setters
 
 
 def word_eval(word):
@@ -304,13 +319,13 @@ def generator(params, x, exp=1):
     return Word._adopt(params, ((x % params.n, exp),))
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(_Record):
     """One rewriting move: the rule applied and the word after the move."""
 
-    rule: str
-    word: Word
-    note: str = ""
+    __slots__ = _fields = ("rule", "word", "note")
+
+    def __init__(self, rule, word, note=""):
+        self._fill(rule, word, note)
 
 
 def inverse_letters(letters):
@@ -371,8 +386,10 @@ def _join(*parts):
     return tuple(joined)
 
 
-def rewrite_trace(word):
+def rewrite_trace(word, packed=None):
     """Rewrite a word into its canonical form, logging every move.
+
+    ``packed`` is ``word_eval(word)`` when the caller holds it already.
 
     The strategy mirrors the normal-form construction:
 
@@ -408,7 +425,7 @@ def rewrite_trace(word):
     Returns (canonical word, tuple of RewriteStep).
     """
     params = word.params
-    target = canonical_word(word_eval(word))
+    target = canonical_word(word_eval(word) if packed is None else packed)
     if word.letters == target.letters:
         return target, ()
     n, t = params.n, params.t

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -14,6 +13,7 @@ from quandlehom.errors import (
 from quandlehom.intlinalg import (
     AbelianInvariants,
     IntMatrix,
+    SmithForm,
     homology_invariants,
     invariant_factors,
     multiplicative_order,
@@ -132,19 +132,19 @@ def test_smith_check_rejects_forged_forms(monkeypatch, forgery):
         true = smith_normal_form(matrix, transforms)
         rows, cols = matrix.shape
         if forgery == "zero-transform":
-            return dataclasses.replace(
-                true,
-                d=IntMatrix.zeros(rows, cols),
-                u=IntMatrix.zeros(rows, rows),
-                v=IntMatrix.identity(cols),
-                v_inv=IntMatrix.identity(cols),
+            return SmithForm(
+                IntMatrix.zeros(rows, cols),
+                IntMatrix.zeros(rows, rows),
+                IntMatrix.identity(cols),
+                IntMatrix.identity(cols),
+                true.u_inv,
             )
         last = max((i for i, e in enumerate(true.d.diagonal()) if e), default=None)
         d, u = IntMatrix(true.d.data), IntMatrix(true.u.data)
         if last is not None:
             d.data[last][last] = 0
             u.data[last] = [0] * rows
-        return dataclasses.replace(true, d=d, u=u)
+        return SmithForm(d, u, true.v, true.v_inv, true.u_inv)
 
     monkeypatch.setattr(checks, "smith_normal_form", forged)
     result = checks.check_smith_random(random.Random(2024))

@@ -219,8 +219,8 @@ def _rewriting_under(monkeypatch, name, fault):
 
 def test_rewriting_catches_a_final_word_of_another_value(monkeypatch):
     def planted(real):
-        def rewrite(w):
-            final, steps = real(w)
+        def rewrite(w, packed=None):
+            final, steps = real(w, packed)
             if not steps:
                 return final, steps
             return Word(P43, final.letters + ((1, 1),)), steps
@@ -249,8 +249,8 @@ def test_rewriting_catches_a_canonical_word_that_is_no_fixed_point(monkeypatch):
 
 def test_rewriting_catches_a_wrong_rule_name(monkeypatch):
     def planted(real):
-        def rewrite(w):
-            final, steps = real(w)
+        def rewrite(w, packed=None):
+            final, steps = real(w, packed)
             return final, tuple(
                 RewriteStep("central-power", s.word, s.note) if s.rule == "braid" else s
                 for s in steps
@@ -270,8 +270,8 @@ def test_rewriting_catches_a_trace_that_hands_back_its_input(monkeypatch):
     # the trace stops one step short and returns its input as the final
     # word, so the sample is counted as a canonical input with k - 1 steps
     def planted(real):
-        def rewrite(w):
-            final, steps = real(w)
+        def rewrite(w, packed=None):
+            final, steps = real(w, packed)
             return (w, steps[:-1]) if steps else (final, steps)
 
         return rewrite

@@ -473,8 +473,8 @@ def test_trace_short_of_the_final_word_is_rejected(monkeypatch):
     assert trace_violation(word, short[-1].word, short) is None
     assert trace_violation(word, final, short) is not None
 
-    def stop_short(w):
-        final, steps = rewrite_trace(w)
+    def stop_short(w, packed=None):
+        final, steps = rewrite_trace(w, packed)
         return final, steps[:-1]
 
     monkeypatch.setattr("quandlehom.checks.rewrite_trace", stop_short)
@@ -498,7 +498,7 @@ def test_empty_trace_must_merge_to_the_final_word(monkeypatch):
         assert trace_violation(word, final, steps) is None
 
     monkeypatch.setattr(
-        "quandlehom.checks.rewrite_trace", lambda w: (rewrite_trace(w)[0], ())
+        "quandlehom.checks.rewrite_trace", lambda w, packed: (rewrite_trace(w)[0], ())
     )
     result = check_rewriting(P94, random.Random(5), samples=40)
     assert result.failures
